@@ -28,10 +28,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 os.environ["OPTBRANCH_BACKEND"] = "numpy"
 
-import inputs  # noqa: E402  (after the backend is pinned)
-
 WORKLOADS = ("regular3", "kings", "er_dense", "bottleneck")
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 11  # set-up children per run, after one warm-up child
 
 
 def load_program():
@@ -45,6 +43,8 @@ def load_program():
 
 def build(ob, workload: str):
     """The workload's inputs: (n, edges, Graph or Region) per operation."""
+    import inputs
+
     if workload == "bottleneck":
         n, edges, width = inputs.bottleneck()
         return [(n, edges, ob.region_of(ob.Graph(n, edges), range(width)))]
@@ -54,25 +54,27 @@ def build(ob, workload: str):
 
 
 def setup_only(workload: str) -> None:
+    start = time.perf_counter()
     build(load_program(), workload)
-    print("ready", flush=True)
+    print(f"ready {time.perf_counter() - start!r}", flush=True)
 
 
 def measure_setup(workload: str) -> float:
-    """Median time from spawning a fresh interpreter to its inputs being ready."""
+    """Median set-up time of fresh interpreters, as each one times itself.
+
+    The first child warms the file cache and is not counted."""
     samples = []
-    for _ in range(SETUP_SAMPLES):
-        start = time.perf_counter()
+    for _ in range(1 + SETUP_SAMPLES):
         with subprocess.Popen([sys.executable, str(Path(__file__)), "--setup-only",
                                "--workload", workload, "--seed", "0"],
                               cwd=ROOT, stdout=subprocess.PIPE, text=True) as child:
-            line = child.stdout.readline()
-            samples.append(time.perf_counter() - start)
-            child.stdout.read()
+            line = child.stdout.read()
             code = child.wait(timeout=120)
-        if line.strip() != "ready" or code != 0:
+        word, _, value = line.strip().partition(" ")
+        if word != "ready" or code != 0:
             raise SystemExit(f"perfbench: set-up child exited with code {code}")
-    return statistics.median(samples)
+        samples.append(float(value))
+    return statistics.median(samples[1:])
 
 
 def operation(ob, workload: str, target):
@@ -143,6 +145,7 @@ def check_all(workload: str, items, all_results):
 
 
 def environment(workload: str, seed: int, ob) -> dict:
+    import inputs
     import numpy
     import scipy
 
@@ -198,7 +201,9 @@ def main(argv=None) -> int:
         for line in report.table():
             print(line)
         metrics = {name: metric(report.value(how), unit) for name, unit, how in spans.PER_LAYER}
-        metrics["trace.overhead_s"] = metric(traced_s - solve_s, "s")
+        metrics["trace.overhead_s"] = metric(spans.overhead_s(tracer), "s")
+        print(f"traced round {traced_s:.3f} s, median untraced round {solve_s:.3f} s, "
+              f"tracer cost {metrics['trace.overhead_s']['value']:.4f} s", flush=True)
     else:
         metrics = {
             "setup_s": metric(setup_s, "s"),

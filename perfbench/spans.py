@@ -13,17 +13,25 @@ from __future__ import annotations
 import json
 import statistics
 import time
+import types
+from array import array
 from collections import Counter, defaultdict
 
 
 class Tracer:
     def __init__(self):
-        self.spans: list[list] = []  # [name, start, end, parent index or -1]
+        # one span per index; flat arrays, so recording allocates no objects
+        # for the garbage collector to walk
+        self.names: list[str] = []
+        self.starts = array("d")
+        self.ends = array("d")
+        self.parents = array("q")  # index of the enclosing span, or -1
         self.stack: list[int] = []
         self.counts: Counter = Counter()
         self.width_max = 0
         self.instances: set = set()
         self.missing: set[str] = set()
+        self.after_s = 0.0  # time spent in the count callbacks
         self._saved: list[tuple[object, str, object]] = []
 
     def wrap(self, module, attr: str, name: str, after=None) -> None:
@@ -33,20 +41,26 @@ class Tracer:
         if target is None:
             self.missing.add(name)
             return
-        spans, stack = self.spans, self.stack
+        names, starts, ends, parents, stack = (
+            self.names, self.starts, self.ends, self.parents, self.stack)
         clock = time.perf_counter
 
         def traced(*args, **kwargs):
-            index = len(spans)
-            spans.append([name, clock(), 0.0, stack[-1] if stack else -1])
+            index = len(names)
+            names.append(name)
+            parents.append(stack[-1] if stack else -1)
+            ends.append(0.0)
             stack.append(index)
+            starts.append(clock())
             try:
                 result = target(*args, **kwargs)
             finally:
+                ends[index] = clock()
                 stack.pop()
-                spans[index][2] = clock()
             if after is not None:
+                begin = clock()
                 after(self, args, result)
+                self.after_s += clock() - begin
             return result
 
         setattr(module, attr, traced)
@@ -57,12 +71,16 @@ class Tracer:
             setattr(module, attr, target)
         self._saved.clear()
 
+    def spans(self):
+        """(name, start, end, parent) per span, in the order they began."""
+        return zip(self.names, self.starts, self.ends, self.parents)
+
     def write(self, path, header: dict) -> None:
         """Write every span once, at the end of the run."""
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as out:
             json.dump({**header, "fields": ["name", "start", "end", "parent"],
-                       "spans": self.spans, "counts": dict(self.counts)}, out)
+                       "spans": list(self.spans()), "counts": dict(self.counts)}, out)
 
 
 def _kernel_counts(kind: str):
@@ -96,8 +114,49 @@ def _instance_counts(tracer, args, _result):
 
 
 def _mip_counts(tracer, args, _result):
-    _covs, weights, _universe, incumbent = args
-    tracer.counts["setcover.mip.columns"] += sum(1 for w in weights if w < incumbent[0])
+    """HiGHS solves and their columns: the sets lighter than the incumbent,
+    counted only when together they cover the universe, as ``_mip_cover``
+    returns the incumbent without a solve otherwise."""
+    covs, weights, universe, incumbent = args
+    keep = [j for j, w in enumerate(weights) if w < incumbent[0]]
+    union = 0
+    for j in keep:
+        union |= covs[j]
+    if union == (1 << universe) - 1:
+        tracer.counts["setcover.mip.solves"] += 1
+        tracer.counts["setcover.mip.columns"] += len(keep)
+
+
+def span_cost(calls: int = 20000, repeats: int = 7) -> float:
+    """Seconds one span adds to a call: a wrapped no-op against the bare one,
+    both with two arguments, the median over ``repeats`` timings of ``calls``
+    calls each."""
+    def noop(a, b):
+        return None
+
+    holder = types.SimpleNamespace(noop=noop)
+    clock = time.perf_counter
+    costs = []
+    for _ in range(repeats):
+        tracer = Tracer()
+        tracer.wrap(holder, "noop", "noop")
+        traced = holder.noop
+        tracer.unwrap()
+        start = clock()
+        for i in range(calls):
+            noop(i, holder)
+        bare = clock() - start
+        start = clock()
+        for i in range(calls):
+            traced(i, holder)
+        costs.append((clock() - start - bare) / calls)
+    return statistics.median(costs)
+
+
+def overhead_s(tracer: Tracer) -> float:
+    """The tracer's own cost in a traced round: the spans it recorded times
+    the cost of one span, plus the time its count callbacks took."""
+    return len(tracer.names) * span_cost() + tracer.after_s
 
 
 def install(ob) -> Tracer:
@@ -178,7 +237,7 @@ PER_LAYER = [
     ("setcover.certified_ratio", "ratio", ("certified_ratio",)),
     ("setcover.bnb.calls", "count", ("calls", "setcover.bnb")),
     ("setcover.bnb.self_s", "s", ("self_s", "setcover.bnb")),
-    ("setcover.mip.calls", "count", ("calls", "setcover.mip")),
+    ("setcover.mip.calls", "count", ("count", "setcover.mip.solves", "setcover.mip")),
     ("setcover.mip.self_s", "s", ("self_s", "setcover.mip")),
     ("setcover.mip.columns", "count", ("count", "setcover.mip.columns", "setcover.mip")),
 ]
@@ -189,7 +248,7 @@ class Report:
 
     def __init__(self, tracer: Tracer):
         self.tracer = tracer
-        spans = tracer.spans
+        spans = list(tracer.spans())
         self_time = [end - start for _name, start, end, _parent in spans]
         self.calls: Counter = Counter()
         self.self_s: defaultdict = defaultdict(float)
