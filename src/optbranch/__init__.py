@@ -5,7 +5,6 @@ reducing rule selection to a weighted minimum set cover, and runs them inside
 a branch-and-reduce engine.  See README.md for the CLI and benchmark harness.
 """
 
-from ._kernels import BACKEND
 from .clauses import (
     DNF,
     CandidateClause,
@@ -52,6 +51,9 @@ from .setcover import WmscInstance, WmscSolution, solve_exact, solve_lp
 from .table import AlphaTensor, BranchingTable, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant
 
 __version__ = "0.1.0"
+
+# the enumeration kernels are plain numpy; kept so run records can name them
+BACKEND = "numpy"
 
 __all__ = [
     "AlphaTensor", "BACKEND", "BranchingTable", "CandidateClause", "CapacityError",

@@ -1,193 +1,72 @@
 """Enumeration kernels behind the alpha-tensor and brute-force MIS routines.
 
-Both kernels sweep all 2^width subset configurations of a small graph given as
-per-vertex adjacency bitmasks.  Two interchangeable backends exist:
-
-* ``numba``: a single @njit loop (used when numba imports, the default),
-* ``numpy``: vectorized stride-view passes with no Python-level inner loop.
-
-Select explicitly with the environment variable ``OPTBRANCH_BACKEND=numba`` or
-``OPTBRANCH_BACKEND=numpy``; the numpy path is also the automatic fallback
-when numba is unavailable.  Both backends are bit-for-bit equivalent (see
-tests/test_kernels.py) and keep memory at O(2^width) bytes, so width 26 (the
-default enumeration limit) needs a few hundred MB transiently.
+Both kernels list the independent configurations of a small graph given as
+per-vertex adjacency bitmasks (bit i of a configuration is local vertex i).
+The list starts as ``[0]``; step v appends, with bit v set, every listed
+configuration that holds no neighbour of v.  Every configuration listed
+before step v is below 2^v and every one it appends is at least 2^v, so the
+list stays ascending.  Work and memory are O(number of independent
+configurations) rather than O(2^width): a dense width-25 region costs a few
+thousand entries, and only a near-edgeless region approaches the 2^width of
+a full sweep.  The list is written into one 2^width int32 buffer from
+``np.empty``; the operating system backs only the pages written, so the
+resident memory follows the list's length.  Widths up to 31 fit in int32.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError
 
-_FLAG = os.environ.get("OPTBRANCH_BACKEND", "").strip().lower()
-if _FLAG not in ("", "numba", "numpy"):
-    raise InputError(f"OPTBRANCH_BACKEND must be 'numba' or 'numpy', got {_FLAG!r}")
-
-if _FLAG != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-        if _FLAG == "numba":
-            raise InputError("OPTBRANCH_BACKEND=numba but numba is not installed")
-else:
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+MAX_WIDTH = 31
 
 
-def _as_adj_array(width, adj_masks):
-    adj = np.asarray(adj_masks, dtype=np.int64)
-    if adj.shape != (width,):
+def _independent_configs(width, adj_masks):
+    """Every independent configuration, ascending, as an int32 array."""
+    if len(adj_masks) != width:
         raise ValueError("adjacency mask array must have one entry per vertex")
-    return adj
+    if width > MAX_WIDTH:
+        raise CapacityError(f"cannot enumerate {width} vertices, above {MAX_WIDTH}")
+    out = np.empty(1 << width, dtype=np.int32)
+    out[0] = 0
+    n = 1
+    for v, adj in enumerate(adj_masks):
+        lower = int(adj) & ((1 << v) - 1)
+        listed = out[:n]
+        grown = listed[(listed & lower) == 0] if lower else listed
+        np.bitwise_or(grown, 1 << v, out=out[n:n + grown.size])
+        n += grown.size
+    return out[:n]
 
 
-# ---------------------------------------------------------------------------
-# numpy backend: stride-view passes, no arange allocation
-# ---------------------------------------------------------------------------
+def config_scan(width, adj_masks, boundary_positions):
+    """Enumerate the independent configurations of a local graph.
 
-
-def _bit_view(arr, bit):
-    """View of ``arr`` (length 2^w) covering exactly the indices with ``bit`` set."""
-    return arr.reshape(-1, 2 << bit)[:, (1 << bit):]
-
-
-def _pair_view(arr, u, v):
-    """View covering the indices with bits ``u`` and ``v`` both set (u > v)."""
-    return arr.reshape(-1, 2, 1 << (u - v - 1), 2, 1 << v)[:, 1, :, 1, :]
-
-
-def _popcount_table(width):
-    pop = np.zeros(1 << width, dtype=np.uint8)
-    for b in range(width):
-        _bit_view(pop, b)[:] += 1
-    return pop
-
-
-def _independent_table_numpy(width, adj):
-    indep = np.ones(1 << width, dtype=bool)
-    for v in range(width):
-        rest = int(adj[v]) & ~((2 << v) - 1)
-        while rest:
-            u_bit = rest & -rest
-            rest ^= u_bit
-            _pair_view(indep, u_bit.bit_length() - 1, v)[:] = False
-    return indep
-
-
-def _key_table_numpy(width, bpos):
-    key = np.zeros(1 << width, dtype=np.uint32)
-    for j, p in enumerate(bpos):
-        _bit_view(key, int(p))[:] |= np.uint32(1 << j)
-    return key
-
-
-def _config_scan_numpy(width, adj, bpos):
-    indep = _independent_table_numpy(width, adj)
-    pop = _popcount_table(width)
-    key = _key_table_numpy(width, bpos)
-    alpha = np.full(1 << len(bpos), -1, dtype=np.int32)
-    np.maximum.at(alpha, key[indep], pop[indep].astype(np.int32))
-    return indep, pop, key, alpha
-
-
-def _max_independent_numpy(width, adj):
-    indep = _independent_table_numpy(width, adj)
-    pop = np.where(indep, _popcount_table(width), np.uint8(0))
-    config = int(np.argmax(pop))
-    return int(pop[config]), config
-
-
-# ---------------------------------------------------------------------------
-# numba backend: one DP sweep; indep[s] extends indep[s minus lowest bit]
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _config_scan_numba(width, adj, keybit, nbound):  # pragma: no cover
-        size = 1 << width
-        indep = np.zeros(size, dtype=np.bool_)
-        pop = np.zeros(size, dtype=np.uint8)
-        key = np.zeros(size, dtype=np.uint32)
-        alpha = np.full(1 << nbound, -1, dtype=np.int32)
-        indep[0] = True
-        alpha[0] = 0
-        for s in range(1, size):
-            rest = s & (s - 1)
-            low = s ^ rest
-            tz = 0
-            while low > 1:
-                low >>= 1
-                tz += 1
-            pop[s] = pop[rest] + 1
-            key[s] = key[rest] | keybit[tz]
-            if indep[rest] and (adj[tz] & rest) == 0:
-                indep[s] = True
-                k = key[s]
-                if pop[s] > alpha[k]:
-                    alpha[k] = pop[s]
-        return indep, pop, key, alpha
-
-    @njit(cache=True)
-    def _max_independent_numba(width, adj):  # pragma: no cover
-        size = 1 << width
-        indep = np.zeros(size, dtype=np.bool_)
-        pop = np.zeros(size, dtype=np.uint8)
-        indep[0] = True
-        best = 0
-        best_config = 0
-        for s in range(1, size):
-            rest = s & (s - 1)
-            low = s ^ rest
-            tz = 0
-            while low > 1:
-                low >>= 1
-                tz += 1
-            pop[s] = pop[rest] + 1
-            if indep[rest] and (adj[tz] & rest) == 0:
-                indep[s] = True
-                if pop[s] > best:
-                    best = pop[s]
-                    best_config = s
-        return best, best_config
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-
-def config_scan(width, adj_masks, boundary_positions, backend=None):
-    """Sweep all 2^width configurations of a local graph.
-
-    Returns ``(indep, pop, key, alpha)`` where ``indep[s]`` flags independent
-    configurations, ``pop[s]`` is the popcount, ``key[s]`` packs the bits of
-    ``s`` at ``boundary_positions`` (position j becomes bit j of the key), and
-    ``alpha[k]`` is the maximum popcount over independent configurations with
-    boundary key ``k`` (-1 where no independent configuration exists).
+    Returns ``(configs, pop, key, alpha)``: ``configs`` lists every
+    independent configuration in ascending order, ``pop`` holds their
+    popcounts, ``key`` packs their bits at the ascending
+    ``boundary_positions`` (position j becomes bit j of the key), and
+    ``alpha[k]`` is the largest popcount with boundary key ``k`` (-1 where no
+    independent configuration has it).
     """
-    adj = _as_adj_array(width, adj_masks)
-    bpos = np.asarray(list(boundary_positions), dtype=np.int64)
-    if (backend or BACKEND) == "numba":
-        keybit = np.zeros(max(width, 1), dtype=np.uint32)
-        for j, p in enumerate(bpos):
-            keybit[p] = 1 << j
-        return _config_scan_numba(width, adj, keybit, len(bpos))
-    return _config_scan_numpy(width, adj, bpos)
+    configs = _independent_configs(width, adj_masks)
+    pop = np.bitwise_count(configs)
+    key = np.zeros_like(configs)
+    bit = np.empty_like(configs)
+    for j, p in enumerate(boundary_positions):
+        np.right_shift(configs, p - j, out=bit)
+        bit &= 1 << j
+        key |= bit
+    # alpha + 1 in pop's own dtype keeps np.maximum.at on its fast path
+    lifted = np.zeros(1 << len(boundary_positions), dtype=np.uint8)
+    np.maximum.at(lifted, key, pop + 1)
+    return configs, pop, key, lifted.astype(np.int32) - 1
 
 
-def max_independent(width, adj_masks, backend=None):
+def max_independent(width, adj_masks):
     """Size and smallest argmax configuration of a maximum independent set."""
-    if width == 0:
-        return 0, 0
-    adj = _as_adj_array(width, adj_masks)
-    if (backend or BACKEND) == "numba":
-        size, config = _max_independent_numba(width, adj)
-        return int(size), int(config)
-    return _max_independent_numpy(width, adj)
+    configs = _independent_configs(width, adj_masks)
+    pop = np.bitwise_count(configs)
+    best = int(np.argmax(pop))
+    return int(pop[best]), int(configs[best])

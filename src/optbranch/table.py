@@ -15,7 +15,7 @@ boundary key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class AlphaTensor:
 
     region: Region
     values: tuple[int, ...]
+    # (configs, pop, key) from the region's one enumeration: every independent
+    # configuration, ascending, with its popcount and boundary key
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -65,15 +68,18 @@ class BranchingTable:
 def alpha_tensor(r: Region, limit: int = 26) -> AlphaTensor:
     """Exhaustively enumerate the alpha tensor of ``r``.
 
-    Every one of the 2^|V(R)| local configurations is tested for
-    independence; the maximum popcount per boundary configuration survives.
+    Every independent local configuration is listed once; the maximum
+    popcount per boundary configuration survives.  The listing is kept on
+    the tensor for ``boundary_grouped``.
     """
     if r.width > limit:
         raise CapacityError(
             f"region has {r.width} vertices, above the enumeration limit {limit}"
         )
-    _, _, _, alpha = _kernels.config_scan(r.width, r.local_adj_masks(), r.boundary_positions())
-    return AlphaTensor(r, tuple(int(a) for a in alpha))
+    configs, pop, key, alpha = _kernels.config_scan(
+        r.width, r.local_adj_masks(), r.boundary_positions()
+    )
+    return AlphaTensor(r, tuple(alpha.tolist()), (configs, pop, key))
 
 
 def prune_irrelevant(t: AlphaTensor) -> AlphaTensor:
@@ -97,7 +103,7 @@ def prune_irrelevant(t: AlphaTensor) -> AlphaTensor:
         shaped_clo = closure.reshape(-1, 2 << b)
         np.maximum(shaped_best[:, (1 << b):], shaped_clo[:, : (1 << b)], out=shaped_best[:, (1 << b):])
     pruned = np.where((vals == NEG_INF) | (best >= vals), np.int16(NEG_INF), vals)
-    return AlphaTensor(t.region, tuple(int(v) for v in pruned))
+    return replace(t, values=tuple(pruned.tolist()))
 
 
 def _boundary_set_mask(region: Region, key: int) -> int:
@@ -151,11 +157,14 @@ def prune_by_environment(t: AlphaTensor, host: Graph | None = None) -> AlphaTens
     order = sorted(survivors, key=lambda k: (-t.values[k], k))
     kept: list[int] = []
     pruned = list(t.values)
+    alpha_of: dict[int, int] = {}
     for s in order:
         absorbed = False
         for other in kept:
             diff = removed_by[other] & ~removed_by[s]
-            bound = _induced_alpha(host, diff, ENV_EXACT_LIMIT)
+            bound = alpha_of.get(diff)
+            if bound is None:
+                bound = alpha_of[diff] = _induced_alpha(host, diff, ENV_EXACT_LIMIT)
             if t.values[s] + bound <= t.values[other]:
                 absorbed = True
                 break
@@ -163,7 +172,7 @@ def prune_by_environment(t: AlphaTensor, host: Graph | None = None) -> AlphaTens
             pruned[s] = NEG_INF
         else:
             kept.append(s)
-    return AlphaTensor(region, tuple(pruned))
+    return replace(t, values=tuple(pruned))
 
 
 def boundary_grouped(t: AlphaTensor) -> BranchingTable:
@@ -172,21 +181,16 @@ def boundary_grouped(t: AlphaTensor) -> BranchingTable:
     survivors = t.surviving()
     if not survivors:
         raise InternalError("alpha tensor has no finite entries")
-    indep, pop, key, _ = _kernels.config_scan(
-        region.width, region.local_adj_masks(), region.boundary_positions()
-    )
-    alpha = np.full(1 << t.rank, NEG_INF, dtype=np.int16)
-    for k in survivors:
-        alpha[k] = t.values[k]
-    hit = indep & (pop == alpha[key])
-    configs = np.nonzero(hit)[0]
-    config_keys = key[configs]
+    configs, pop, key = t.scan
+    hit = pop == np.asarray(t.values, dtype=np.int16)[key]
+    configs = configs[hit]
+    config_keys = key[hit]
     rows = []
     row_alpha = []
     for k in survivors:
         members = configs[config_keys == k]
         if members.size == 0:
             raise InternalError(f"surviving boundary key {k} has no configurations")
-        rows.append(tuple(int(c) for c in members))
+        rows.append(tuple(members.tolist()))
         row_alpha.append(t.values[k])
     return BranchingTable(region.width, tuple(rows), tuple(row_alpha), survivors)

@@ -1,15 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from optbranch import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger any jit compilation once so timed assertions see steady state."""
-    _kernels.config_scan(3, [0b110, 0b101, 0b011], [0, 2])
-    _kernels.max_independent(3, [0b110, 0b101, 0b011])

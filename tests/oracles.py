@@ -40,6 +40,25 @@ def oracle_mis(g):
     return alpha(g.full_mask())
 
 
+def oracle_config_scan(width, adj_masks, boundary_positions):
+    """Independent configurations by testing all 2^width subsets in order.
+
+    Returns ascending configurations with their popcounts and packed
+    boundary keys, plus the largest popcount per key (-1 where none).
+    """
+    configs, pops, keys = [], [], []
+    alpha = [-1] * (1 << len(boundary_positions))
+    for s in range(1 << width):
+        if any((s >> v) & 1 and adj_masks[v] & s for v in range(width)):
+            continue
+        key = sum(1 << j for j, p in enumerate(boundary_positions) if (s >> p) & 1)
+        configs.append(s)
+        pops.append(s.bit_count())
+        keys.append(key)
+        alpha[key] = max(alpha[key], pops[-1])
+    return configs, pops, keys, alpha
+
+
 def oracle_alpha_tensor(region):
     """Alpha tensor by direct subset enumeration with itertools."""
     host = region.host
@@ -100,7 +119,7 @@ def oracle_set_cover(universe_size, sets, weights):
         if got != full:
             continue
         cost = sum(w for w, p in zip(weights, pick) if p)
-        if cost < best - 1e-15:
+        if cost < best * (1.0 - 1e-12):
             best = cost
             best_pick = tuple(i for i, p in enumerate(pick) if p)
     return best, best_pick

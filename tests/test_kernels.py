@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from optbranch import _kernels
-from optbranch.graph import Graph, region_of
+from optbranch import CapacityError, _kernels
+from optbranch.graph import Graph
 
-from oracles import oracle_mis
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.BACKEND == "numba" else [])
+from oracles import oracle_config_scan, oracle_mis
 
 
 def random_graph(rng, n, p):
@@ -14,37 +12,37 @@ def random_graph(rng, n, p):
     return Graph(n, edges)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_max_independent_matches_oracle(backend):
+def test_max_independent_matches_oracle():
     rng = np.random.default_rng(7)
     for _ in range(40):
         n = int(rng.integers(1, 15))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
-        size, config = _kernels.max_independent(n, list(g.adj_mask), backend=backend)
+        size, config = _kernels.max_independent(n, list(g.adj_mask))
         assert size == oracle_mis(g)
         assert g.is_independent(config)
         assert config.bit_count() == size
 
 
-def test_backends_agree_bit_for_bit():
-    if _kernels.BACKEND != "numba":
-        pytest.skip("numba backend unavailable")
+def test_config_scan_matches_brute_force():
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        n = int(rng.integers(2, 14))
-        g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
-        r = region_of(g, range(n), boundary=[v for v in range(n) if v % 3 == 0])
-        bpos = r.boundary_positions()
-        outs = {}
-        for backend in ("numba", "numpy"):
-            indep, pop, key, alpha = _kernels.config_scan(
-                n, r.local_adj_masks(), bpos, backend=backend
-            )
-            outs[backend] = (indep, pop, key, alpha)
-            assert _kernels.max_independent(n, list(g.adj_mask), backend=backend) == \
-                _kernels.max_independent(n, list(g.adj_mask), backend="numpy")
-        for a, b in zip(outs["numba"], outs["numpy"]):
-            assert np.array_equal(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    graphs = [random_graph(rng, int(rng.integers(0, 15)), float(rng.uniform(0.05, 0.7)))
+              for _ in range(40)]
+    # edgeless graphs, and complete ones (every pair drawn with p = 1)
+    graphs += [Graph(n, []) for n in (0, 1, 9, 14)]
+    graphs += [random_graph(rng, n, 1.0) for n in (2, 9, 14)]
+    for g in graphs:
+        n = g.n
+        adj = list(g.adj_mask)
+        bpos = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        configs, pop, key, alpha = _kernels.config_scan(n, adj, bpos)
+        want = oracle_config_scan(n, adj, bpos)
+        assert configs.tolist() == want[0]
+        assert pop.tolist() == want[1]
+        assert key.tolist() == want[2]
+        assert alpha.tolist() == want[3]
+        # the smallest configuration among the largest independent sets
+        size = max(want[1])
+        assert _kernels.max_independent(n, adj) == (size, want[0][want[1].index(size)])
 
 
 def test_scan_alpha_counts_boundary_keys():
@@ -58,3 +56,8 @@ def test_scan_alpha_counts_boundary_keys():
 def test_empty_width_scan():
     size, config = _kernels.max_independent(0, [])
     assert (size, config) == (0, 0)
+
+
+def test_width_beyond_int32_configs_is_refused():
+    with pytest.raises(CapacityError):
+        _kernels.max_independent(_kernels.MAX_WIDTH + 1, [0] * (_kernels.MAX_WIDTH + 1))

@@ -164,6 +164,18 @@ class TestSolveLp:
             solve_lp(WmscInstance(3, (0b011,), (1.0,)), seed=0)
 
 
+def test_enumeration_oracle_exact_at_tiny_weights():
+    # the first instance of this stream has optimum 6.49e-16: an absolute
+    # acceptance tolerance of 1e-15 in the oracle settles on 7.10e-16
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        inst = random_instance(rng)
+        weights = tuple(w * 2.0 ** -50 if i % 2 else w for i, w in enumerate(inst.weights))
+        got, _ = oracle_set_cover(inst.universe_size, inst.sets, weights)
+        want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, weights)
+        assert math.isclose(got, want, rel_tol=1e-9)
+
+
 def test_solution_covers_helper():
     inst = WmscInstance(2, (0b01, 0b10), (1.0, 1.0))
     assert WmscSolution((0, 1), 2.0, True).covers(inst)
