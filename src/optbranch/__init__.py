@@ -44,7 +44,6 @@ from .optimize import (
     SolverKind,
     find_gamma,
     minimize_gamma,
-    minimize_gamma_bisection,
     optimal_rule,
 )
 from .setcover import WmscInstance, WmscSolution, solve_exact, solve_lp
@@ -64,7 +63,7 @@ __all__ = [
     "bits", "boundary_grouped", "candidate_clauses", "covers", "delta_rho",
     "erdos_renyi", "find_gamma", "grid_subgraph", "induced_delete", "intersection",
     "is_valid_rule", "kings_subgraph", "measure", "minimize_gamma",
-    "minimize_gamma_bisection", "mis_branch", "neighbors_k", "optimal_rule",
+    "mis_branch", "neighbors_k", "optimal_rule",
     "parse_graph", "prune_by_environment", "prune_irrelevant", "reduce_fixpoint",
     "region_of", "render_clause", "render_dnf", "select_subgraph", "single_cover",
     "solve_exact", "solve_lp", "three_regular", "verify_witness",

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graph import Graph, Measure, Region, bits, induced_delete, region_of
 from .optimize import SolverKind, optimal_rule
 
@@ -208,6 +208,18 @@ def verify_witness(g: Graph, witness) -> bool:
     return g.is_independent(witness)
 
 
+def _certify(g: Graph, witness, mis_size: int) -> None:
+    """O(n + m) check that ``witness`` is an independent set of ``g`` with
+    ``mis_size`` vertices; raises InternalError otherwise."""
+    if len(witness) != mis_size:
+        raise InternalError(
+            f"witness has {len(witness)} vertices but mis_size is {mis_size}")
+    if any(not 0 <= v < g.n for v in witness):
+        raise InternalError("witness names a vertex outside the graph")
+    if any(u in witness for v in witness for u in g.adj[v]):
+        raise InternalError("witness is not an independent set")
+
+
 def _component_lookup(region: Region):
     """Exact MIS of a boundary-free region: size plus one witness config."""
     size, config = _kernels.max_independent(region.width, region.local_adj_masks())
@@ -216,7 +228,11 @@ def _component_lookup(region: Region):
 
 
 def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
-    """Exact MIS size, witness, and branch statistics for ``g``."""
+    """Exact MIS size, witness, and branch statistics for ``g``.
+
+    The witness is certified before returning: an independent set of
+    ``g`` whose size is the reported ``mis_size``.
+    """
     cfg = cfg or SolveConfig()
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 12 * g.n + 10000))
     node_counter = [0]
@@ -276,4 +292,6 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
         return total, red.resolve(kernel_witness), branches, max_depth, stats
 
     size, witness, branch_count, max_depth, stats = solve(g, 0)
-    return SolveReport(size, frozenset(witness), branch_count, max_depth, dict(stats))
+    witness = frozenset(witness)
+    _certify(g, witness, size)
+    return SolveReport(size, witness, branch_count, max_depth, dict(stats))

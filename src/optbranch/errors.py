@@ -26,7 +26,12 @@ class DegenerateClauseError(OptBranchError):
 
 
 class NumericError(OptBranchError):
-    """A numeric routine (e.g. the simplex solver) failed to converge."""
+    """A numeric routine failed to converge.
+
+    No routine of the package raises it: the set-cover LPs and MIPs run in
+    HiGHS, whose failures surface as :class:`InternalError`.  It stays in
+    the hierarchy for callers that catch it.
+    """
 
 
 class InternalError(OptBranchError):

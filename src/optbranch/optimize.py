@@ -4,9 +4,9 @@ The branching factor gamma of a rule with reductions (d_1..d_k) is the root
 of sum(gamma^-d_i) = 1.  Candidate clauses are selected through a fixed point
 alternation: solve the covering instance whose weights are gamma^-d_i, then
 re-solve gamma from the chosen vector, until gamma stops decreasing.  With
-the exact cover solver the fixed point is the global optimum; a bisection on
-"does a cover of weight at most one exist" is kept as an independent
-cross-check.
+the exact cover solver the fixed point is the global optimum; the tests
+cross-check it with a bisection on "does a cover of weight at most one
+exist".
 """
 
 from __future__ import annotations
@@ -131,44 +131,6 @@ def minimize_gamma(
             )
         gamma_old = gamma_new
     raise InternalError("gamma fixed point did not converge within 64 rounds")
-
-
-def minimize_gamma_bisection(
-    candidates: list[CandidateClause],
-    universe_size: int,
-    eps: float = 1e-6,
-) -> float:
-    """Bisect gamma on the existence of a cover with weight at most one.
-
-    The indicator is monotone in gamma, so its transition point is the
-    minimal branching factor; used as a cross-check oracle for
-    :func:`minimize_gamma`.
-    """
-    if not candidates:
-        raise InfeasibleError("no candidate clauses")
-    if _coverage_union(candidates) != (1 << universe_size) - 1:
-        raise InfeasibleError("candidate clauses cannot cover the branching table")
-    sets = tuple(c.coverage for c in candidates)
-
-    def covered_within_one(gamma):
-        weights = tuple(gamma ** -float(c.delta_rho) for c in candidates)
-        sol = solve_exact(WmscInstance(universe_size, sets, weights))
-        return sol.objective <= 1.0 + 1e-12
-
-    lo, hi = 1.0, 2.0
-    if covered_within_one(lo):
-        return 1.0
-    while not covered_within_one(hi):
-        hi *= 2.0
-        if hi > 64.0:
-            raise InternalError("no finite branching factor below 64")
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if covered_within_one(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def optimal_rule(

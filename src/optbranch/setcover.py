@@ -8,13 +8,16 @@ dual-ascent certificate settles easy instances outright.  Small instances
 then run an element-disjunction branch-and-bound whose nodes are cut with
 the stronger of the dual bound and the greedy fractional completion bound.
 Wide instances (thousands of sets, as rule synthesis produces on large
-regions) go to a single HiGHS mixed-integer program instead, over only the
-sets lighter than the incumbent and with weights lifted by an exact power
-of two so that HiGHS's absolute gap is negligible.  Throughout, only a
-strictly cheaper cover replaces the incumbent, so ties go to the greedy
-cover (or to a cheaper hint).  ``solve_lp`` solves the relaxation and
-rounds the fractional solution with seeded inclusion trials plus greedy
-repair.
+regions) go to HiGHS instead, over only the sets lighter than the incumbent
+and with weights lifted by an exact power of two so that HiGHS's absolute
+gap is negligible.  HiGHS first solves the LP relaxation, a lower bound on
+every cover.  When that bound reaches the incumbent, the incumbent is
+optimal; when the LP solution is integral, it is an optimal cover itself;
+only a fractional relaxation runs the mixed-integer program.  Throughout,
+only a strictly cheaper cover replaces the incumbent, so ties go to the
+greedy cover (or to a cheaper hint).  ``solve_lp`` solves the same HiGHS
+relaxation and rounds the fractional solution with seeded inclusion trials
+plus greedy repair.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -31,7 +34,6 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError, InternalError
 from .graph import bits
-from .simplex import cover_lp
 
 PRUNE_TOL = 1e-12
 
@@ -40,6 +42,8 @@ SMALL_SET_LIMIT = 96
 MIP_LIFT_EXP = 20
 
 MIP_ABS_GAP = 1e-6
+
+LP_INTEGRAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,23 +147,19 @@ def _dual_ascent(covs, weights, universe_size, covering):
     return y
 
 
-def _bnb_python(covs, weights, universe_size, y, incumbent, node_cap=None):
+def _bnb_python(covs, weights, universe_size, y, incumbent):
     """Element-disjunction search; children ordered by ratio then index.
 
     ``incumbent`` is (objective, chosen-list); only strictly better covers
     replace it, so the greedy solution wins all exact ties.  Returns the
-    incumbent pair and whether the search ran to completion.
+    chosen set indices of the best cover found.
     """
     best_obj, best_sol = incumbent
     best_sol = list(best_sol)
-    nodes = 0
     full = (1 << universe_size) - 1
 
     def descend(uncov, weight, avail, chosen):
-        nonlocal best_obj, best_sol, nodes
-        nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            raise _NodeCap()
+        nonlocal best_obj, best_sol
         if uncov == 0:
             if weight < best_obj - PRUNE_TOL:
                 best_obj = weight
@@ -203,32 +203,58 @@ def _bnb_python(covs, weights, universe_size, y, incumbent, node_cap=None):
             descend(uncov & ~covs[child], weight + weights[child], remaining, chosen)
             chosen.pop()
 
-    try:
-        descend(full, 0.0, list(range(len(covs))), [])
-    except _NodeCap:
-        return (best_obj, best_sol), False
-    return (best_obj, best_sol), True
+    descend(full, 0.0, list(range(len(covs))), [])
+    return best_sol
 
 
-class _NodeCap(Exception):
-    pass
+def _cover_matrix(covs, universe_size):
+    """Element-by-set 0/1 matrix of the covering constraints, from bitmasks."""
+    width = (universe_size + 7) // 8
+    packed = np.frombuffer(
+        b"".join(cov.to_bytes(width, "little") for cov in covs), dtype=np.uint8
+    ).reshape(len(covs), width)
+    return np.unpackbits(packed, axis=1, count=universe_size, bitorder="little").T
+
+
+def _cover_relaxation(matrix, cost):
+    """LP relaxation min cost.x, matrix x >= 1, 0 <= x <= 1, solved by HiGHS.
+
+    ``milp`` with no integer columns is scipy's cheapest route to the HiGHS
+    LP solver.  Returns ``(x, objective)``.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    res = milp(cost, integrality=np.zeros(len(cost)), bounds=Bounds(0.0, 1.0),
+               constraints=LinearConstraint(matrix, lb=1.0))
+    if res.status != 0:
+        raise InternalError(f"set-cover LP failed: {res.message}")
+    return res.x, res.fun
 
 
 def _mip_cover(covs, weights, universe_size, incumbent):
-    """One exact HiGHS MIP over the sets lighter than the incumbent.
+    """Exact cover over the sets lighter than the incumbent, LP first.
 
     A cover strictly cheaper than the incumbent holds no set that alone
-    weighs as much, so those columns are dropped before the solve; when the
+    weighs as much, so those columns are dropped before any solve; when the
     rest cannot cover the universe the incumbent is optimal as it stands.
-    ``milp`` exposes only the relative gap, which is set to zero, but HiGHS
-    also stops at an absolute gap of ``MIP_ABS_GAP`` and treats costs of
-    1e20 or more as infinite.  The kept weights are therefore lifted by an
-    exact power of two that puts the incumbent in [2^19, 2^20), where that
-    gap is about 1e-12 of the objective and every cost is finite.  The MIP's
-    cover replaces the incumbent only when it is cheaper by more than the
-    gap, so ties go to the incumbent.  Returns the chosen set indices.
+    HiGHS stops a MIP at an absolute gap of ``MIP_ABS_GAP`` (``milp`` exposes
+    only the relative gap, which is set to zero) and treats costs of 1e20 or
+    more as infinite, so the kept weights are lifted by an exact power of two
+    that puts the incumbent in [2^19, 2^20), where that gap is about 1e-12 of
+    the objective and every cost is finite.  Only a cover cheaper than the
+    incumbent by more than the gap replaces it, so ties go to the incumbent.
+
+    The LP relaxation is solved first; every cover costs at least its
+    optimum, which settles most instances without branching:
+
+    (a) the LP optimum is within the gap of the incumbent: no cover is
+        cheaper by more than the gap, so the incumbent stands;
+    (b) the LP solution is integral: it is itself an optimal cover, and
+        replaces the incumbent under the rule above;
+    (c) otherwise one HiGHS MIP over the same columns finds the optimum.
+
+    Returns the chosen set indices.
     """
-    from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     best_obj, best_sol = incumbent
@@ -241,30 +267,41 @@ def _mip_cover(covs, weights, universe_size, incumbent):
         return list(best_sol)
 
     lift = 2.0 ** (MIP_LIFT_EXP - math.frexp(best_obj)[1])
-    rows = []
-    cols = []
-    for col, j in enumerate(keep):
-        for e in bits(covs[j]):
-            rows.append(e)
-            cols.append(col)
-    matrix = sparse.csc_array(
-        (np.ones(len(rows)), (rows, cols)), shape=(universe_size, len(keep))
-    )
+    matrix = _cover_matrix([covs[j] for j in keep], universe_size)
     cost = np.array([weights[j] for j in keep]) * lift
-    res = milp(cost, integrality=np.ones(len(keep)), bounds=Bounds(0.0, 1.0),
-               constraints=LinearConstraint(matrix, lb=1.0),
-               options={"mip_rel_gap": 0.0})
-    if res.status != 0:
-        raise InternalError(f"set-cover MIP failed: {res.message}")
-    chosen = [keep[int(j)] for j in np.nonzero(res.x > 0.5)[0]]
+    cutoff = best_obj * lift - MIP_ABS_GAP
+    x, lp_obj = _cover_relaxation(matrix, cost)
+    if lp_obj >= cutoff:
+        return list(best_sol)
+    if np.any(np.minimum(x, 1.0 - x) > LP_INTEGRAL_TOL):
+        res = milp(cost, integrality=np.ones(len(keep)), bounds=Bounds(0.0, 1.0),
+                   constraints=LinearConstraint(matrix, lb=1.0),
+                   options={"mip_rel_gap": 0.0})
+        if res.status != 0:
+            raise InternalError(f"set-cover MIP failed: {res.message}")
+        x = res.x
+    chosen = [keep[int(j)] for j in np.nonzero(x > 0.5)[0]]
     got = 0
     for j in chosen:
         got |= covs[j]
     if got != full:
-        raise InternalError("set-cover MIP returned a non-cover")
-    if sum(weights[j] for j in chosen) * lift < best_obj * lift - MIP_ABS_GAP:
+        raise InternalError("HiGHS returned a non-cover")
+    if sum(weights[j] for j in chosen) * lift < cutoff:
         return chosen
     return list(best_sol)
+
+
+def _anchor_scale(weights, covering):
+    """Exact power of two that puts ``low`` in [0.5, 1).
+
+    ``low`` is the largest over elements of the cheapest set covering it:
+    every cover pays at least ``low``, and the cheapest sets of all elements
+    together cover for at most universe * low, so absolute tolerances after
+    this rescale stay relative to the optimum at any weight scale.  Returns
+    ``(scale, low)``.
+    """
+    low = max((min(weights[i] for i in sets) for sets in covering), default=1.0)
+    return 2.0 ** -math.frexp(low)[1], low
 
 
 def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
@@ -273,11 +310,12 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     Sets with equal coverage collapse to their cheapest representative.  The
     greedy cover is the incumbent and is returned outright when the dual
     ascent certifies it.  Otherwise up to ``SMALL_SET_LIMIT`` distinct sets
-    run the Python branch-and-bound, and wider instances one exact MIP over
+    run the Python branch-and-bound, and wider instances go to HiGHS over
     the sets lighter than the incumbent, with weights lifted by an exact
-    power of two (see ``_mip_cover``).  Only a strictly cheaper cover
-    replaces the incumbent, so ties keep the greedy cover whenever it is
-    optimal.  ``hint`` may carry a known-feasible choice of original set
+    power of two: the LP relaxation first, and the MIP only when the
+    relaxation is fractional (see ``_mip_cover``).  Only a strictly cheaper
+    cover replaces the incumbent, so ties keep the greedy cover whenever it
+    is optimal.  ``hint`` may carry a known-feasible choice of original set
     indices (for example last round's cover during the gamma fixed point);
     it seeds the incumbent when strictly cheaper than greedy but never
     changes which optima are reachable.
@@ -286,13 +324,7 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     universe = inst.universe_size
     covs, weights, indices = _collapse(inst)
     covering = _covering_lists(covs, universe)
-    # exact rescale by a power of two that puts ``low`` in [0.5, 1): every cover
-    # pays at least the cheapest set of each element, and those cheapest sets
-    # together cover for at most universe * low, so the absolute tolerances
-    # below stay relative to the optimum at any weight scale
-    low = max((min(weights[i] for i in covering[e]) for e in range(universe)),
-              default=1.0)
-    scale = 2.0 ** -math.frexp(low)[1]
+    scale, _low = _anchor_scale(weights, covering)
     work_w = [w * scale for w in weights]
     full = (1 << universe) - 1
 
@@ -319,8 +351,7 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     if greedy_obj <= sum(y) + PRUNE_TOL:
         chosen = greedy_sol
     elif len(covs) <= SMALL_SET_LIMIT:
-        (obj, sol), _ = _bnb_python(covs, work_w, universe, y, incumbent)
-        chosen = sol
+        chosen = _bnb_python(covs, work_w, universe, y, incumbent)
     else:
         chosen = _mip_cover(covs, work_w, universe, incumbent)
 
@@ -364,14 +395,26 @@ def _drop_redundant(sets, weights, picked, full):
 def solve_lp(inst: WmscInstance, seed: int, trials: int = 32) -> WmscSolution:
     """LP relaxation plus the best of ``trials`` seeded rounding attempts.
 
-    Fractional values are treated as inclusion probabilities; after sampling,
-    greedy repair restores feasibility and redundant picks are dropped.  The
-    returned objective is an upper bound and ``lp_bound`` the LP lower bound.
+    The relaxation is HiGHS's, on weights rescaled as in ``solve_exact``,
+    over the same cheapest representative per coverage.  Representatives
+    heavier than universe * low are left out too: the cheapest sets of all
+    elements cover for no more, so the optimum is unchanged, and every cost
+    stays below the universe size.  Fractional values are treated as
+    inclusion probabilities; after sampling, greedy repair restores
+    feasibility and redundant picks are dropped.  The returned objective is
+    an upper bound and ``lp_bound`` the LP lower bound.
     """
     inst.check_feasible()
-    scale = 2.0 ** -math.frexp(max(inst.weights))[1]
+    universe = inst.universe_size
+    covs, weights, indices = _collapse(inst)
+    scale, low = _anchor_scale(weights, _covering_lists(covs, universe))
     scaled = [w * scale for w in inst.weights]
-    x, lp_obj, _, _ = cover_lp(scaled, inst.sets, inst.universe_size)
+    keep = [indices[i] for i, w in enumerate(weights) if w <= universe * low]
+    x = np.zeros(len(inst.sets))
+    x[keep], lp_obj = _cover_relaxation(
+        _cover_matrix([inst.sets[i] for i in keep], universe),
+        np.array([scaled[i] for i in keep]),
+    )
     full = inst.full_mask()
     best_picked = None
     best_obj = math.inf

@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the package's enumeration kernels and solvers so
-the tests compare two unrelated routes to the same answer.
+the tests compare two unrelated routes to the same answer; the gamma
+bisection is the one exception, noted on it.
 """
 
 import itertools
@@ -9,7 +10,9 @@ import math
 
 import numpy as np
 
+from optbranch.errors import InfeasibleError, InternalError
 from optbranch.graph import bits
+from optbranch.setcover import WmscInstance, solve_exact
 
 
 def oracle_mis(g):
@@ -161,3 +164,41 @@ def oracle_set_cover_dp(universe_size, sets, weights):
         pick.append(i)
         left &= ~sets[i]
     return float(cost[full]), tuple(sorted(pick))
+
+
+def minimize_gamma_bisection(candidates, universe_size, eps=1e-6):
+    """Bisect gamma on the existence of a cover with weight at most one.
+
+    The indicator is monotone in gamma, so its transition point is the
+    minimal branching factor.  It cross-checks the fixed point of
+    ``minimize_gamma`` by a different search over gamma; both share
+    ``solve_exact`` for the covers.
+    """
+    if not candidates:
+        raise InfeasibleError("no candidate clauses")
+    union = 0
+    for c in candidates:
+        union |= c.coverage
+    if union != (1 << universe_size) - 1:
+        raise InfeasibleError("candidate clauses cannot cover the branching table")
+    sets = tuple(c.coverage for c in candidates)
+
+    def covered_within_one(gamma):
+        weights = tuple(gamma ** -float(c.delta_rho) for c in candidates)
+        sol = solve_exact(WmscInstance(universe_size, sets, weights))
+        return sol.objective <= 1.0 + 1e-12
+
+    lo, hi = 1.0, 2.0
+    if covered_within_one(lo):
+        return 1.0
+    while not covered_within_one(hi):
+        hi *= 2.0
+        if hi > 64.0:
+            raise InternalError("no finite branching factor below 64")
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        if covered_within_one(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

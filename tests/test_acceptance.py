@@ -8,19 +8,18 @@ keeps jit compilation out of the measurements.
 import time
 
 import numpy as np
+import pytest
 
 from optbranch.bench import BenchSpec, geometric_mean, run_bench, trial_seed
 from optbranch.clauses import build_candidates, render_clause
 from optbranch.engine import SolveConfig, mis_branch, verify_witness
 from optbranch.generators import GENERATORS
 from optbranch.graph import Graph, Measure, region_of
-from optbranch.optimize import (
-    SolverKind, find_gamma, minimize_gamma, minimize_gamma_bisection, optimal_rule,
-)
+from optbranch.optimize import SolverKind, find_gamma, minimize_gamma, optimal_rule
 from optbranch.setcover import WmscInstance, solve_exact, solve_lp
 from optbranch.table import alpha_tensor, boundary_grouped, prune_irrelevant
 
-from oracles import oracle_mis, oracle_set_cover
+from oracles import minimize_gamma_bisection, oracle_mis, oracle_set_cover
 from paper_cases import (
     BOTTLENECK_CANDIDATES, BOTTLENECK_GAMMA, BOTTLENECK_ROWS, BOTTLENECK_VECTOR,
     DOMINATION_ROWS, FIG1_ALPHA, FIG1_CANDIDATES, FIG1_GAMMA, FIG1_OPTIMAL_RULE,
@@ -115,6 +114,7 @@ def test_criterion_3_ph2_discovery():
     _report("3 ph2", f"17 candidates, gamma={result.gamma:.6f}, manual {manual:.6f}, {elapsed:.2f} s")
 
 
+@pytest.mark.slow
 def test_criterion_4_bottleneck_case():
     start = time.perf_counter()
     region = bottleneck_region()
@@ -165,6 +165,7 @@ def test_criterion_6_oracle_equivalence():
     _report("6 oracle-equivalence", f"{checked} graphs x4 configs, {elapsed:.0f} s")
 
 
+@pytest.mark.slow
 def test_criterion_7_three_regular_scaling():
     start = time.perf_counter()
     spec = BenchSpec("3regular", (60, 80, 100, 120), trials=100, seed=24601)
@@ -229,6 +230,7 @@ def test_criterion_9_wmsc_exactness():
     _report("9 wmsc-exactness", "500 instances vs enumeration; LP bounds hold")
 
 
+@pytest.mark.slow
 def test_criterion_10_lp_vs_exact_aggregate():
     n = 80
     exact_counts = []

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from optbranch import engine
 from optbranch.engine import (
     SolveConfig, components, mis_branch, reduce_fixpoint, select_subgraph, verify_witness,
 )
-from optbranch.errors import InputError
+from optbranch.errors import InputError, InternalError
 from optbranch.graph import Graph
 from optbranch.optimize import SolverKind
 
@@ -166,3 +167,46 @@ class TestVerifyWitness:
         g = random_graph(rng, 15, 0.3)
         rep = mis_branch(g)
         assert verify_witness(g, rep.witness)
+
+
+class TestWitnessCertificate:
+    """``mis_branch`` certifies its witness; corrupt the top-level resolve."""
+
+    @staticmethod
+    def corrupt_resolve(monkeypatch, top, corrupt):
+        real = engine.reduce_fixpoint
+
+        def reduce(graph):
+            red = real(graph)
+            if graph is top:
+                resolve = red.resolve
+                red.resolve = lambda kernel_witness: corrupt(resolve(kernel_witness))
+            return red
+
+        monkeypatch.setattr(engine, "reduce_fixpoint", reduce)
+
+    def test_dependent_witness_raises(self, monkeypatch):
+        g = cycle(5)
+        # swap the largest witness vertex for a neighbour of the smallest:
+        # same size, an edge inside
+
+        def swap(witness):
+            v = min(witness)
+            u = next(u for u in g.adj[v] if u not in witness)
+            return (witness - {max(witness)}) | {u}
+
+        self.corrupt_resolve(monkeypatch, g, swap)
+        with pytest.raises(InternalError, match="not an independent set"):
+            mis_branch(g)
+
+    def test_short_witness_raises(self, monkeypatch):
+        g = tutte_graph()
+        self.corrupt_resolve(monkeypatch, g, lambda witness: witness - {min(witness)})
+        with pytest.raises(InternalError, match="mis_size"):
+            mis_branch(g)
+
+    def test_vertex_outside_graph_raises(self, monkeypatch):
+        g = path(4)
+        self.corrupt_resolve(monkeypatch, g, lambda witness: (witness - {min(witness)}) | {g.n})
+        with pytest.raises(InternalError, match="outside the graph"):
+            mis_branch(g)

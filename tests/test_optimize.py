@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from optbranch import InfeasibleError, InputError
 from optbranch.clauses import CandidateClause, Clause, build_candidates, render_clause
 from optbranch.graph import Graph, Measure, region_of
-from optbranch.optimize import (
-    SolverKind, find_gamma, minimize_gamma, minimize_gamma_bisection, optimal_rule,
-)
+from optbranch.optimize import SolverKind, find_gamma, minimize_gamma, optimal_rule
 from optbranch.table import alpha_tensor, boundary_grouped, prune_irrelevant
 
+from oracles import minimize_gamma_bisection
 from paper_cases import (
     FIG1_GAMMA, FIG1_OPTIMAL_RULE, domination_region, fig1_region,
 )

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from optbranch import InfeasibleError, InputError
-from optbranch.setcover import WmscInstance, WmscSolution, solve_exact, solve_lp
+import scipy.optimize
+
+from optbranch import InfeasibleError, InputError, InternalError, setcover
+from optbranch.setcover import (
+    SMALL_SET_LIMIT, WmscInstance, WmscSolution, solve_exact, solve_lp,
+)
 
 from oracles import oracle_set_cover, oracle_set_cover_dp
 from paper_cases import FIG1_CANDIDATES, FIG1_GAMMA
@@ -49,6 +53,66 @@ def wide_instance(rng, gamma, drho_lo, drho_hi):
     drho = rng.integers(drho_lo, drho_hi + 1, size=k)
     weights = tuple(float(gamma) ** -float(d) for d in drho)
     return WmscInstance(universe, tuple(sorted(sets)), weights)
+
+
+def padded_instance(rng, core, universe=10, pads=110):
+    """Unit-weight ``core`` sets, padded past ``SMALL_SET_LIMIT`` distinct sets.
+
+    Every element the core leaves out gets a unit singleton, and ``pads``
+    distinct random sets weigh their size plus one half: dearer per element
+    than any core set or singleton, so no optimum, fractional or integral,
+    holds one.
+    """
+    core_elements = 0
+    for cov in core:
+        core_elements |= cov
+    sets = list(core) + [1 << e for e in range(universe) if not (core_elements >> e) & 1]
+    weights = [1.0] * len(sets)
+    seen = set(sets)
+    target = len(sets) + pads
+    while len(seen) < target:
+        cov = int(rng.integers(1, 1 << universe))
+        if cov not in seen:
+            seen.add(cov)
+            sets.append(cov)
+            weights.append(cov.bit_count() + 0.5)
+    return WmscInstance(universe, tuple(sets), tuple(weights))
+
+
+# odd cycle: LP optimum 1.5 at x = 1/2 each, integer optimum 2
+ODD_CYCLE = (0b011, 0b110, 0b101)
+# greedy takes {0,1,2,3} first (1/4 per element) and then still needs the
+# other two sets, which alone cover all six elements: the LP is integral
+GREEDY_TRAP = (0b001111, 0b010011, 0b101100)
+
+
+def record_exits(monkeypatch):
+    """Spy on ``milp`` and ``_mip_cover``; returns the list of exits taken.
+
+    (c) when a MIP ran, (a) when only the LP ran and the incumbent came
+    back, (b) when only the LP ran and its cover replaced the incumbent.
+    """
+    real_milp = scipy.optimize.milp
+    real_mip_cover = setcover._mip_cover
+    integral_calls = []
+    exits = []
+
+    def milp(c, *, integrality, **kwargs):
+        integral_calls.append(bool(np.any(integrality)))
+        return real_milp(c, integrality=integrality, **kwargs)
+
+    def mip_cover(covs, weights, universe_size, incumbent):
+        integral_calls.clear()
+        chosen = real_mip_cover(covs, weights, universe_size, incumbent)
+        if any(integral_calls):
+            exits.append("c")
+        elif integral_calls:
+            exits.append("a" if chosen == list(incumbent[1]) else "b")
+        return chosen
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    monkeypatch.setattr(setcover, "_mip_cover", mip_cover)
+    return exits
 
 
 class TestSolveExact:
@@ -129,6 +193,60 @@ class TestSolveExact:
             assert abs(hinted.objective - base.objective) <= 1e-12
 
 
+class TestWidePath:
+    """The LP-first exits of ``_mip_cover``, each checked against the DP oracle."""
+
+    def test_each_exit_matches_dp_oracle(self, monkeypatch):
+        exits = record_exits(monkeypatch)
+        rng = np.random.default_rng(1729)
+        trap = padded_instance(rng, GREEDY_TRAP)
+        cycle = padded_instance(rng, ODD_CYCLE)
+        _, trap_optimum = oracle_set_cover_dp(trap.universe_size, trap.sets, trap.weights)
+        cases = [
+            (trap, None, "b"),           # integral LP beats the greedy incumbent
+            (trap, trap_optimum, "a"),   # the LP bound certifies an optimal hint
+            (cycle, None, "c"),          # fractional LP: the MIP decides
+        ]
+        for inst, hint, want_exit in cases:
+            assert len(set(inst.sets)) > SMALL_SET_LIMIT
+            want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+            exits.clear()
+            sol = solve_exact(inst, hint=hint)
+            assert exits == [want_exit]
+            assert sol.covers(inst)
+            assert math.isclose(sol.objective, want, rel_tol=1e-9)
+
+    def test_exits_on_seeded_wide_instances(self, monkeypatch):
+        exits = record_exits(monkeypatch)
+        rng = np.random.default_rng(4096)
+        for _ in range(20):
+            inst = wide_instance(rng, 1.1, 4, 30)
+            want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+            sol = solve_exact(inst)
+            assert sol.covers(inst)
+            assert math.isclose(sol.objective, want, rel_tol=1e-9)
+        assert set(exits) == {"a", "b", "c"}
+
+    @pytest.mark.parametrize("failing", ["LP", "MIP"])
+    def test_failed_highs_status_raises(self, monkeypatch, failing):
+        real_milp = scipy.optimize.milp
+
+        def milp(c, *, integrality, **kwargs):
+            res = real_milp(c, integrality=integrality, **kwargs)
+            if ("MIP" if np.any(integrality) else "LP") == failing:
+                res.status = 1
+                res.message = "Time limit reached."
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "milp", milp)
+        inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
+        with pytest.raises(InternalError, match=f"set-cover {failing} failed"):
+            solve_exact(inst)
+        if failing == "LP":
+            with pytest.raises(InternalError, match="set-cover LP failed"):
+                solve_lp(inst, seed=0)
+
+
 class TestSolveLp:
     def test_relaxation_sandwich(self):
         rng = np.random.default_rng(29)
@@ -162,6 +280,23 @@ class TestSolveLp:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             solve_lp(WmscInstance(3, (0b011,), (1.0,)), seed=0)
+
+    def test_lp_bound_below_optimum_at_tiny_weights(self):
+        rng = np.random.default_rng(2024)
+        # wide, weights 2^-drho with drho 0..60
+        insts = [wide_instance(rng, 2.0, 0, 60) for _ in range(5)]
+        # small, every other weight scaled by 2^-50
+        for _ in range(200):
+            inst = random_instance(rng)
+            weights = tuple(w * 2.0 ** -50 if i % 2 else w
+                            for i, w in enumerate(inst.weights))
+            insts.append(WmscInstance(inst.universe_size, inst.sets, weights))
+        for inst in insts:
+            want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+            lp = solve_lp(inst, seed=1)
+            assert lp.covers(inst)
+            assert lp.lp_bound <= want * (1.0 + 1e-9)
+            assert lp.objective >= want * (1.0 - 1e-9)
 
 
 def test_enumeration_oracle_exact_at_tiny_weights():
