@@ -131,6 +131,7 @@ def _cmd_solve(args) -> int:
     if args.json:
         print(json.dumps({"mis_size": report.mis_size,
                           "branch_count": report.branch_count,
+                          "node_count": report.node_count,
                           "time_ms": elapsed_ms}))
     else:
         print(f"mis_size={report.mis_size} branches={report.branch_count}")

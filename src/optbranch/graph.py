@@ -73,6 +73,17 @@ class Graph:
         self.adj = tuple(tuple(bits(m)) for m in neighbor_masks)
         self.m = sum(len(a) for a in self.adj) // 2
 
+    @classmethod
+    def _from_adj(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """Wrap ascending, symmetric, loop-free adjacency tuples unchecked;
+        for derived graphs whose rows were built from a valid graph."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g.adj_mask = tuple([sum(map((1).__lshift__, row)) for row in adj])
+        g.m = sum(map(len, adj)) // 2
+        return g
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -119,17 +130,20 @@ def neighbors_k(g: Graph, s, k: int, closed: bool = False) -> int:
     """k-th order neighborhood N_k(S) (or N_k[S] when ``closed``) as a mask.
 
     Follows the recursion N_1[S] = N[S], N_k(S) = N(N_{k-1}[S]),
-    N_k[S] = N_k(S) | N_{k-1}[S].
+    N_k[S] = N_k(S) | N_{k-1}[S].  Only the last ring N_{k-1}(S) can have
+    neighbours outside N_{k-1}[S], so each step expands that ring alone.
     """
     mask = as_mask(g.n, s)
     if mask == 0:
         raise InputError("neighbors_k requires a nonempty vertex set")
     if k < 1:
         raise InputError("k must be a positive integer")
-    closed_prev = g.closed_mask(mask)
-    open_cur = closed_prev & ~mask
-    for _ in range(k - 1):
-        open_cur = g.neighbors_mask(closed_prev)
+    closed_prev = open_cur = mask
+    for _ in range(k):
+        reach = 0
+        for v in bits(open_cur):
+            reach |= g.adj_mask[v]
+        open_cur = reach & ~closed_prev
         closed_prev |= open_cur
     return closed_prev if closed else open_cur
 
@@ -141,14 +155,15 @@ def induced_delete(g: Graph, removed) -> tuple[Graph, tuple[int, ...]]:
     of surviving original ids; new vertex i corresponds to ``kept[i]``.
     """
     gone = as_mask(g.n, removed)
-    kept = tuple(v for v in range(g.n) if not (gone >> v) & 1)
-    new_id = {old: i for i, old in enumerate(kept)}
-    edges = []
+    kept = tuple([v for v in range(g.n) if not gone >> v & 1])
+    new_id = [-1] * g.n
     for i, old in enumerate(kept):
-        for w in g.adj[old]:
-            if w > old and not (gone >> w) & 1:
-                edges.append((i, new_id[w]))
-    return Graph(len(kept), edges), kept
+        new_id[old] = i
+    # new ids ascend with the old ones, so every row stays sorted
+    adj = tuple([
+        tuple([new_id[w] for w in g.adj[old] if new_id[w] >= 0]) for old in kept
+    ])
+    return Graph._from_adj(adj), kept
 
 
 def measure(g: Graph, m: Measure) -> int:

@@ -4,13 +4,25 @@ Edge-list grammar: one ``u v`` pair per line, 1-based ids, ``#`` starts a
 comment; a line holding a single integer declares the vertex count, which is
 how edgeless vertices (and whole edgeless graphs) are expressed.  DIMACS
 grammar: ``c`` comments, one ``p edge <n> <m>`` header, then ``e u v`` lines.
-Both readers deduplicate edges and reject self-loops.
+Both readers deduplicate edges and reject self-loops, and both reject a
+vertex id or count above :data:`MAX_VERTICES` before anything is allocated.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
 from .graph import Graph
+
+# A Graph keeps one n-bit neighbour mask per vertex, so a hostile file naming
+# a vertex near 10**9 would ask for gigabytes.  At this bound the masks of any
+# graph stay below n * n / 8 bytes = 12.5 MB, while the bound sits far above
+# the few hundred vertices the exact solver is benchmarked on.
+MAX_VERTICES = 10_000
+
+
+def _check_size(lineno: int, what: str, value: int) -> None:
+    if value > MAX_VERTICES:
+        raise InputError(f"line {lineno}: {what} {value} exceeds the limit of {MAX_VERTICES} vertices")
 
 
 def _strip(line: str) -> str:
@@ -28,11 +40,13 @@ def _parse_edgelist(lines) -> Graph:
         parts = text.split()
         if len(parts) == 1:
             try:
-                declared = max(declared, int(parts[0]))
+                count = int(parts[0])
             except ValueError:
                 raise InputError(f"line {lineno}: expected a vertex count, got {parts[0]!r}")
-            if int(parts[0]) < 0:
+            if count < 0:
                 raise InputError(f"line {lineno}: vertex count must be non-negative")
+            _check_size(lineno, "vertex count", count)
+            declared = max(declared, count)
             continue
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {text!r}")
@@ -42,6 +56,7 @@ def _parse_edgelist(lines) -> Graph:
             raise InputError(f"line {lineno}: non-integer vertex id in {text!r}")
         if u < 1 or v < 1:
             raise InputError(f"line {lineno}: vertex ids are 1-based")
+        _check_size(lineno, "vertex id", max(u, v))
         if u == v:
             raise InputError(f"line {lineno}: self-loop at vertex {u}")
         if declared and (u > declared or v > declared):
@@ -70,6 +85,7 @@ def _parse_dimacs(lines) -> Graph:
                 int(parts[3])
             except ValueError:
                 raise InputError(f"line {lineno}: malformed problem line {text!r}")
+            _check_size(lineno, "vertex count", n)
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before 'p edge' header")

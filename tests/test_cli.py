@@ -3,6 +3,7 @@ import json
 import pytest
 
 from optbranch.cli import main
+from optbranch.io import MAX_VERTICES
 
 from paper_cases import TUTTE_EDGES
 
@@ -35,7 +36,8 @@ class TestSolve:
         assert main(["solve", files["tutte"], "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mis_size"] == 19
-        assert set(payload) == {"mis_size", "branch_count", "time_ms"}
+        assert set(payload) == {"mis_size", "branch_count", "node_count", "time_ms"}
+        assert payload["node_count"] >= 1
 
     def test_lp_flag(self, files, capsys):
         assert main(["solve", files["fig1"], "--lp", "--measure", "vc"]) == 0
@@ -95,6 +97,17 @@ class TestExitCodes:
 
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("edgelist", "1 1000000000\n"),
+        ("edgelist", "1000000000\n1 2\n"),
+        ("dimacs", "p edge 1000000000 0\n"),
+    ])
+    def test_huge_vertex_ids_exit_two(self, tmp_path, capsys, fmt, text):
+        huge = tmp_path / "huge.txt"
+        huge.write_text(text)
+        assert main(["solve", str(huge), "--format", fmt]) == 2
+        assert f"exceeds the limit of {MAX_VERTICES} vertices" in capsys.readouterr().err
 
     def test_self_loop_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.edgelist"

@@ -1,12 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 
 from optbranch import engine
+from optbranch.bench import BenchSpec, run_bench
 from optbranch.engine import (
     SolveConfig, components, mis_branch, reduce_fixpoint, select_subgraph, verify_witness,
 )
 from optbranch.errors import InputError, InternalError
-from optbranch.graph import Graph
+from optbranch.generators import kings_subgraph
+from optbranch.graph import Graph, neighbors_k
 from optbranch.optimize import SolverKind
 
 from oracles import oracle_mis
@@ -51,6 +55,32 @@ class TestReduceFixpoint:
         red = reduce_fixpoint(g)
         assert red.graph == g and red.offset == 0
 
+    def test_min_degree_three_is_its_own_kernel(self):
+        g = petersen()
+        red = reduce_fixpoint(g)
+        assert red.graph is g and red.changed == 0
+        assert list(red.kept) == list(range(g.n))
+
+    def test_kernel_matches_graph_from_edges(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            g = random_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.3)))
+            kernel = reduce_fixpoint(g).graph
+            want = Graph(kernel.n, list(kernel.edges()))
+            assert kernel == want
+            assert kernel.adj_mask == want.adj_mask and kernel.m == want.m
+
+    def test_changed_marks_rewritten_vertices(self):
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            g = random_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.3)))
+            red = reduce_fixpoint(g)
+            for i, old in enumerate(red.kept):
+                if not (red.changed >> i) & 1:
+                    # an unmarked survivor has exactly its input neighbours
+                    assert old < g.n
+                    assert [red.kept[w] for w in red.graph.adj[i]] == list(g.adj[old])
+
     def test_witness_sound_on_random_sparse_graphs(self):
         rng = np.random.default_rng(83)
         for _ in range(40):
@@ -84,6 +114,48 @@ class TestSelectSubgraph:
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):
             select_subgraph(Graph(0, []), SolveConfig())
+
+
+class TestCarriedKeys:
+    """The engine carries region keys from parent to child; at every node
+    they must equal a from-scratch scan, and so must the chosen region."""
+
+    @staticmethod
+    def check_every_node(monkeypatch, graphs, configs):
+        real = engine.select_subgraph
+        reused = []
+
+        def checking(g, cfg, keys=None, changed=0):
+            stale = neighbors_k(g, changed, cfg.selection_radius, closed=True) if changed else 0
+            region = real(g, cfg, keys, changed)
+            assert real(g, cfg) == region
+            fresh = [None] * g.n
+            real(g, cfg, fresh, g.full_mask())
+            assert keys == fresh
+            reused.append(g.n - stale.bit_count())
+            return region
+
+        monkeypatch.setattr(engine, "select_subgraph", checking)
+        for cfg in configs:
+            for g in graphs:
+                mis_branch(g, cfg)
+        return reused
+
+    def test_random_graphs(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        graphs = [random_graph(rng, n, 5.0 / n) for n in (30, 34, 38)]
+        configs = [SolveConfig(selection_radius=r, enumeration_limit=k)
+                   for r in (1, 2, 3) for k in (3, 4, 7, 12, 26)]
+        reused = self.check_every_node(monkeypatch, graphs, configs)
+        # some nodes keep carried keys, so the reuse path runs
+        assert len(reused) >= 150 and sum(map(bool, reused)) >= 20
+
+    def test_kings_graphs(self, monkeypatch):
+        graphs = [kings_subgraph(n, 0.8, seed) for n, seed in ((60, 3), (90, 4))]
+        configs = [SolveConfig(selection_radius=r, enumeration_limit=k)
+                   for r in (1, 2, 3) for k in (3, 7, 12, 26)]
+        reused = self.check_every_node(monkeypatch, graphs, configs)
+        assert len(reused) >= 500 and sum(map(bool, reused)) >= 250
 
 
 def test_components_split():
@@ -149,9 +221,56 @@ class TestMisBranch:
                 rep = mis_branch(g, SolveConfig(env_pruning=flag))
                 assert rep.mis_size == want
 
+    def test_node_count_is_synthesized_rules(self, monkeypatch):
+        real = engine.optimal_rule
+        rules = []
+
+        def counting(*args, **kwargs):
+            rules.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "optimal_rule", counting)
+        for g in (tutte_graph(), kings_subgraph(120, 0.8, 5), petersen(), cycle(7)):
+            rules.clear()
+            rep = mis_branch(g)
+            assert rep.node_count == len(rules) == sum(rep.rule_stats.values())
+
+    def test_kings_bench_pinned(self):
+        # per-trial (n, mis, branches) of
+        # `optbranch bench --gen kings --sizes 200:400:100 --trials 4 --seed 7`,
+        # recorded before region keys were carried between nodes
+        report = run_bench(BenchSpec("kings", (200, 300, 400), 4, 7))
+        assert [(r.n, r.mis, r.branches) for r in report.rows] == [
+            (200, 62, 6), (200, 60, 0), (200, 63, 0), (200, 63, 0),
+            (300, 94, 2), (300, 94, 0), (300, 97, 0), (300, 94, 6),
+            (400, 127, 6), (400, 125, 0), (400, 126, 0), (400, 125, 22),
+        ]
+
     def test_bad_config_rejected(self):
         with pytest.raises(InputError):
             SolveConfig(selection_radius=0)
+
+
+class TestLogging:
+    def test_debug_line_per_node_and_info_summary(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="optbranch.engine"):
+            rep = mis_branch(tutte_graph())
+        records = [r for r in caplog.records if r.name == "optbranch.engine"]
+        debug = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
+        info = [r.getMessage() for r in records if r.levelno == logging.INFO]
+        assert len(debug) == rep.node_count >= 1
+        for line in debug:
+            for field_name in ("depth=", "n=", "width=", "rows=", "k=", "gamma="):
+                assert field_name in line
+        assert len(info) == 1
+        assert f"mis_size={rep.mis_size}" in info[0]
+        assert f"branches={rep.branch_count}" in info[0]
+        assert f"nodes={rep.node_count}" in info[0]
+
+    def test_silent_when_disabled(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="optbranch.engine"):
+            mis_branch(tutte_graph())
+        assert not [r for r in caplog.records if r.name == "optbranch.engine"]
 
 
 class TestVerifyWitness:

@@ -105,6 +105,16 @@ class TestInducedDelete:
         )
         assert sub.m == expected
 
+    @given(small_graphs(), st.integers(0, 1023))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_graph_built_from_edges(self, g, removed):
+        sub, kept = induced_delete(g, removed)
+        pos = {v: i for i, v in enumerate(kept)}
+        want = Graph(len(kept), [(pos[u], pos[v]) for u, v in g.edges()
+                                 if u in pos and v in pos])
+        assert sub == want
+        assert sub.adj_mask == want.adj_mask and sub.m == want.m
+
 
 class TestMeasure:
     def test_three_regular_effective_degree_is_n(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from optbranch.errors import InputError
-from optbranch.io import parse_graph
+from optbranch.io import MAX_VERTICES, parse_graph
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -80,3 +80,21 @@ def test_unknown_format(tmp_path):
 def test_missing_file():
     with pytest.raises(InputError):
         parse_graph("/nonexistent/path.edgelist")
+
+
+class TestSizeLimit:
+    def test_edgelist_at_limit_accepted(self, tmp_path):
+        g = parse_graph(write(tmp_path, f"{MAX_VERTICES}\n1 {MAX_VERTICES}\n"))
+        assert g.n == MAX_VERTICES and g.m == 1
+
+    def test_edgelist_id_above_limit(self, tmp_path):
+        with pytest.raises(InputError, match="line 2: vertex id"):
+            parse_graph(write(tmp_path, f"1 2\n1 {MAX_VERTICES + 1}\n"))
+
+    def test_edgelist_count_above_limit(self, tmp_path):
+        with pytest.raises(InputError, match="line 1: vertex count"):
+            parse_graph(write(tmp_path, f"{MAX_VERTICES + 1}\n"))
+
+    def test_dimacs_count_above_limit(self, tmp_path):
+        with pytest.raises(InputError, match="line 1: vertex count"):
+            parse_graph(write(tmp_path, f"p edge {MAX_VERTICES + 1} 0\n"), "dimacs")
