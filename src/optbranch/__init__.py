@@ -33,7 +33,6 @@ from .errors import (
     InfeasibleError,
     InputError,
     InternalError,
-    NumericError,
     OptBranchError,
 )
 from .generators import erdos_renyi, grid_subgraph, kings_subgraph, three_regular
@@ -57,7 +56,7 @@ BACKEND = "numpy"
 __all__ = [
     "AlphaTensor", "BACKEND", "BranchingTable", "CandidateClause", "CapacityError",
     "Clause", "DegenerateClauseError", "DNF", "Graph", "InfeasibleError",
-    "InputError", "InternalError", "Measure", "NumericError", "OptBranchError",
+    "InputError", "InternalError", "Measure", "OptBranchError",
     "OptimalBranchingResult", "Reduction", "Region", "SolveConfig", "SolveReport",
     "SolverKind", "WmscInstance", "WmscSolution", "alpha_tensor", "as_mask",
     "bits", "boundary_grouped", "candidate_clauses", "covers", "delta_rho",

@@ -11,6 +11,7 @@ the least-squares line through (n, ln geomean).
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -106,11 +107,18 @@ def summarize(rows) -> tuple[dict, dict, float]:
 
 
 def run_bench(spec: BenchSpec, jobs: int = 1) -> BenchReport:
+    """Run every (size, trial) pair, in a pool of at most ``jobs`` workers.
+
+    The pool never outnumbers the tasks or the CPUs.
+    """
+    if jobs < 1:
+        raise InputError("jobs must be at least 1")
     tasks = [(n, t) for n in spec.sizes for t in range(spec.trials)]
-    if jobs > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.starmap(_run_one, [(spec, n, t) for n, t in tasks])
     else:
         rows = [_run_one(spec, n, t) for n, t in tasks]

@@ -33,12 +33,6 @@ class Clause:
         """Positions asserted in-set (the T(c) vertices)."""
         return self.mask & self.values
 
-    def literal_count(self) -> int:
-        return self.mask.bit_count()
-
-    def satisfied_by(self, config: int) -> bool:
-        return config & self.mask == self.values
-
 
 @dataclass(frozen=True)
 class DNF:
@@ -79,14 +73,6 @@ def intersection(a: Clause, b: Clause) -> Clause | None:
 def covers(c: Clause, row) -> bool:
     """True when at least one configuration in ``row`` satisfies ``c``."""
     return any(cfg & c.mask == c.values for cfg in row)
-
-
-def coverage_mask(c: Clause, table: BranchingTable) -> int:
-    out = 0
-    for i, row in enumerate(table.rows):
-        if covers(c, row):
-            out |= 1 << i
-    return out
 
 
 def _closure(table: BranchingTable):

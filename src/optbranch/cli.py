@@ -12,9 +12,9 @@ import time
 from .bench import BenchSpec, run_bench, write_csv
 from .clauses import render_clause, render_dnf
 from .engine import SolveConfig, mis_branch
-from .errors import InputError, OptBranchError
+from .errors import CapacityError, InputError, OptBranchError
 from .graph import Measure, bits, region_of
-from .io import parse_graph
+from .io import MAX_VERTICES, parse_graph
 from .optimize import SolverKind, optimal_rule
 
 log = logging.getLogger("optbranch")
@@ -98,6 +98,11 @@ def _parse_vertex_list(text: str, n: int) -> list[int]:
     return [_parse_vertex_token(t, n) for t in text.split(",")]
 
 
+def _check_size_limit(largest: int) -> None:
+    if largest > MAX_VERTICES:
+        raise InputError(f"size {largest} exceeds the limit of {MAX_VERTICES} vertices")
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
     if ":" in text:
         parts = text.split(":")
@@ -109,11 +114,14 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
             raise InputError(f"non-integer size in {text!r}")
         if step <= 0 or b < a:
             raise InputError(f"bad size range {text!r}")
+        _check_size_limit(b)
         return tuple(range(a, b + 1, step))
     try:
-        return tuple(int(p) for p in text.split(","))
+        sizes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"cannot parse sizes {text!r}")
+    _check_size_limit(max(sizes))
+    return sizes
 
 
 def _cmd_solve(args) -> int:
@@ -202,7 +210,7 @@ def main(argv=None) -> int:
         if args.command == "discover":
             return _cmd_discover(args)
         return _cmd_bench(args)
-    except InputError as exc:
+    except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OptBranchError as exc:

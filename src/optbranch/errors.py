@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all optbranch modules.
 
-The CLI maps these onto exit codes: bad user input exits with 2,
-everything else (internal invariants, numeric trouble) exits with 1.
+The CLI maps these onto exit codes: bad user input and a region above the
+enumeration limit exit with 2, everything else (internal invariants) exits
+with 1.
 """
 
 
@@ -23,15 +24,6 @@ class InfeasibleError(OptBranchError):
 
 class DegenerateClauseError(OptBranchError):
     """A clause whose application does not reduce the complexity measure."""
-
-
-class NumericError(OptBranchError):
-    """A numeric routine failed to converge.
-
-    No routine of the package raises it: the set-cover LPs and MIPs run in
-    HiGHS, whose failures surface as :class:`InternalError`.  It stays in
-    the hierarchy for callers that catch it.
-    """
 
 
 class InternalError(OptBranchError):

@@ -104,11 +104,6 @@ class Graph:
             out |= self.adj_mask[v]
         return out & ~s
 
-    def closed_mask(self, vertices) -> int:
-        """Closed neighborhood N[S] as a mask."""
-        s = as_mask(self.n, vertices)
-        return self.neighbors_mask(s) | s
-
     def is_independent(self, vertices) -> bool:
         s = as_mask(self.n, vertices)
         for v in bits(s):

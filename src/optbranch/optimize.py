@@ -73,13 +73,6 @@ def find_gamma(vector) -> float:
     return g
 
 
-def _coverage_union(candidates) -> int:
-    union = 0
-    for c in candidates:
-        union |= c.coverage
-    return union
-
-
 def minimize_gamma(
     candidates: list[CandidateClause],
     universe_size: int,
@@ -92,11 +85,11 @@ def minimize_gamma(
     gamma from the chosen branching vector; rounds strictly decrease gamma
     until the fixed point, which the exact solver reaches at the provably
     minimal gamma.  The relaxed solver may wobble, so its best round wins.
+    Candidates that cannot cover every row raise ``InfeasibleError`` from the
+    solver's feasibility check.
     """
     if not candidates:
         raise InfeasibleError("no candidate clauses")
-    if _coverage_union(candidates) != (1 << universe_size) - 1:
-        raise InfeasibleError("candidate clauses cannot cover the branching table")
     sets = tuple(c.coverage for c in candidates)
     gamma_old = 2.0
     trail: list[float] = []

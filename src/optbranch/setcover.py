@@ -16,8 +16,8 @@ optimal; when the LP solution is integral, it is an optimal cover itself;
 only a fractional relaxation runs the mixed-integer program.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so ties go to the
 greedy cover (or to a cheaper hint).  ``solve_lp`` solves the same HiGHS
-relaxation and rounds the fractional solution with seeded inclusion trials
-plus greedy repair.
+relaxation and rounds it with seeded inclusion trials, each completed by the
+same greedy cover and stripped of redundant sets by per-element cover counts.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -44,6 +44,8 @@ MIP_LIFT_EXP = 20
 MIP_ABS_GAP = 1e-6
 
 LP_INTEGRAL_TOL = 1e-9
+
+LP_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -317,8 +319,9 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     cover replaces the incumbent, so ties keep the greedy cover whenever it
     is optimal.  ``hint`` may carry a known-feasible choice of original set
     indices (for example last round's cover during the gamma fixed point);
-    it seeds the incumbent when strictly cheaper than greedy but never
-    changes which optima are reachable.
+    it seeds the incumbent when strictly cheaper than greedy.  It never
+    changes the optimal objective, but it can decide which of several tied
+    optima is returned, and so the rule the search branches on.
     """
     inst.check_feasible()
     universe = inst.universe_size
@@ -332,19 +335,12 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     y = _dual_ascent(covs, work_w, universe, covering)
     incumbent = (greedy_obj, greedy_sol)
     if hint:
-        rep_of = {indices[i]: i for i in range(len(indices))}
-        rep_by_cov = {covs[i]: i for i in range(len(covs))}
-        picked = []
+        rep_of = {cov: i for i, cov in enumerate(covs)}
+        picked = [rep_of[inst.sets[idx]] for idx in hint]
         got = 0
-        ok = True
-        for idx in hint:
-            rep = rep_of.get(idx, rep_by_cov.get(inst.sets[idx], -1))
-            if rep < 0:
-                ok = False
-                break
-            picked.append(rep)
+        for rep in picked:
             got |= covs[rep]
-        if ok and got == full:
+        if got == full:
             hint_obj = sum(work_w[i] for i in picked)
             if hint_obj < incumbent[0] - PRUNE_TOL:
                 incumbent = (hint_obj, picked)
@@ -360,49 +356,38 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     return WmscSolution(picked, objective, exact=True)
 
 
-def _greedy_repair(sets, weights, picked, uncovered):
-    while uncovered:
-        best = -1
-        best_ratio = math.inf
-        for i, cov in enumerate(sets):
-            new = cov & uncovered
-            if not new or picked[i]:
-                continue
-            ratio = weights[i] / new.bit_count()
-            if ratio < best_ratio - PRUNE_TOL:
-                best_ratio = ratio
-                best = i
-        if best < 0:
-            raise InfeasibleError("rounding repair ran out of sets")
-        picked[best] = True
-        uncovered &= ~sets[best]
+def _drop_redundant(sets, weights, picked, universe_size):
+    """Drop picked sets, heaviest first, while the rest still cover.
+
+    ``picked`` covers the universe, so a set is redundant exactly when every
+    element it covers is covered at least twice.  Returns the kept indices
+    in ascending order.
+    """
+    count = [0] * universe_size
+    for i in picked:
+        for e in bits(sets[i]):
+            count[e] += 1
+    kept = set(picked)
+    for i in sorted(picked, key=lambda i: (-weights[i], -i)):
+        if all(count[e] >= 2 for e in bits(sets[i])):
+            kept.remove(i)
+            for e in bits(sets[i]):
+                count[e] -= 1
+    return sorted(kept)
 
 
-def _drop_redundant(sets, weights, picked, full):
-    order = sorted(
-        (i for i, p in enumerate(picked) if p),
-        key=lambda i: (-weights[i], -i),
-    )
-    for i in order:
-        rest = 0
-        for j, p in enumerate(picked):
-            if p and j != i:
-                rest |= sets[j]
-        if rest == full:
-            picked[i] = False
-
-
-def solve_lp(inst: WmscInstance, seed: int, trials: int = 32) -> WmscSolution:
-    """LP relaxation plus the best of ``trials`` seeded rounding attempts.
+def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
+    """LP relaxation plus the best of ``LP_TRIALS`` seeded rounding attempts.
 
     The relaxation is HiGHS's, on weights rescaled as in ``solve_exact``,
     over the same cheapest representative per coverage.  Representatives
     heavier than universe * low are left out too: the cheapest sets of all
     elements cover for no more, so the optimum is unchanged, and every cost
-    stays below the universe size.  Fractional values are treated as
-    inclusion probabilities; after sampling, greedy repair restores
-    feasibility and redundant picks are dropped.  The returned objective is
-    an upper bound and ``lp_bound`` the LP lower bound.
+    stays below the universe size.  Each trial picks every set whose uniform
+    draw falls below its fractional value, completes the pick with
+    ``solve_exact``'s greedy cover of the elements left uncovered, and drops
+    redundant picks, heaviest first.  The returned objective is an upper
+    bound and ``lp_bound`` the LP lower bound.
     """
     inst.check_feasible()
     universe = inst.universe_size
@@ -418,19 +403,17 @@ def solve_lp(inst: WmscInstance, seed: int, trials: int = 32) -> WmscSolution:
     full = inst.full_mask()
     best_picked = None
     best_obj = math.inf
-    for trial in range(trials):
+    for trial in range(LP_TRIALS):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
-        draw = rng.random(len(inst.sets))
-        picked = [bool(d < xi) for d, xi in zip(draw, x)]
+        picked = (rng.random(len(inst.sets)) < x).nonzero()[0].tolist()
         covered = 0
-        for i, p in enumerate(picked):
-            if p:
-                covered |= inst.sets[i]
-        _greedy_repair(inst.sets, scaled, picked, full & ~covered)
-        _drop_redundant(inst.sets, scaled, picked, full)
-        obj = sum(w for w, p in zip(scaled, picked) if p)
+        for i in picked:
+            covered |= inst.sets[i]
+        repair, _ = _greedy_cover(inst.sets, scaled, full & ~covered)
+        picked = _drop_redundant(inst.sets, scaled, picked + repair, universe)
+        obj = sum(scaled[i] for i in picked)
         if obj < best_obj - PRUNE_TOL:
             best_obj = obj
-            best_picked = tuple(i for i, p in enumerate(picked) if p)
+            best_picked = tuple(picked)
     return WmscSolution(best_picked, sum(inst.weights[i] for i in best_picked),
                         exact=False, lp_bound=lp_obj / scale)

@@ -134,7 +134,7 @@ def _induced_alpha(host: Graph, vertex_mask: int, limit: int) -> int:
     return size
 
 
-def prune_by_environment(t: AlphaTensor, host: Graph | None = None) -> AlphaTensor:
+def prune_by_environment(t: AlphaTensor) -> AlphaTensor:
     """Prune further using the host-side neighbors of the boundary.
 
     A surviving configuration s is dropped when some retained configuration
@@ -145,8 +145,8 @@ def prune_by_environment(t: AlphaTensor, host: Graph | None = None) -> AlphaTens
     sound upper bound.  Configurations are considered in order of decreasing
     value so mutually absorbing pairs keep exactly one representative.
     """
-    host = host or t.region.host
     region = t.region
+    host = region.host
     survivors = t.surviving()
     if len(survivors) <= 1:
         return t

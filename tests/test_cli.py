@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -67,6 +69,13 @@ class TestDiscover:
     def test_bad_region_vertex(self, files, capsys):
         assert main(["discover", files["fig1"], "--region", "1,99"]) == 2
 
+    def test_region_above_enumeration_limit_exits_two(self, tmp_path, capsys):
+        host = tmp_path / "edgeless30.edgelist"
+        host.write_text("30\n")
+        region = ",".join(str(v) for v in range(1, 28))
+        assert main(["discover", str(host), "--region", region]) == 2
+        assert "above the enumeration limit 26" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_run_writes_csv(self, files, capsys):
@@ -89,6 +98,47 @@ class TestBench:
     def test_bad_sizes_spec(self, files):
         assert main(["bench", "--gen", "grid", "--sizes", "10:5:1",
                      "--trials", "1", "--out", "x.csv"]) == 2
+
+    @pytest.mark.parametrize("gen, sizes", [
+        ("3regular", "4:1000000000000:2"),
+        ("erdos_renyi", "200000"),
+        ("grid", f"9,{MAX_VERTICES + 1}"),
+    ])
+    def test_size_above_vertex_limit_exits_two(self, files, capsys, gen, sizes):
+        out = str(files["dir"] / "never.csv")
+        assert main(["bench", "--gen", gen, "--sizes", sizes, "--trials", "1",
+                     "--out", out]) == 2
+        assert f"exceeds the limit of {MAX_VERTICES} vertices" in capsys.readouterr().err
+        assert not (files["dir"] / "never.csv").exists()
+
+    def test_jobs_below_one_exits_two(self, files, capsys):
+        assert main(["bench", "--gen", "grid", "--sizes", "9", "--trials", "1",
+                     "--jobs", "0", "--out", str(files["dir"] / "j.csv")]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cpus, want", [(3, [3]), (8, [4]), (1, [])])
+    def test_pool_capped_by_tasks_and_cpus(self, files, monkeypatch, cpus, want):
+        requested = []
+
+        class FakePool:
+            def __init__(self, size):
+                requested.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                return [fn(*a) for a in args]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # 2 sizes x 2 trials = 4 tasks
+        assert main(["bench", "--gen", "3regular", "--sizes", "12:16:4", "--trials", "2",
+                     "--jobs", "1000", "--out", str(files["dir"] / "p.csv")]) == 0
+        assert requested == want
 
 
 class TestExitCodes:

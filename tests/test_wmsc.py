@@ -299,6 +299,62 @@ class TestSolveLp:
             assert lp.objective >= want * (1.0 - 1e-9)
 
 
+# (instance, seed, chosen, objective, lp_bound) of solve_lp: the rounding's
+# random stream, visiting order and tie rules decide the relaxed search, so
+# a refactor of the rounding must repeat each exactly
+LP_PINS = [
+    ("random0", 0, (0, 1), 0.622914240374826, 0.622914240374826),
+    ("random1", 1, (1, 2, 3), 1.8081090702615992, 1.8081090702615992),
+    ("random2", 2, (2,), 0.08457882236567227, 0.08457882236567227),
+    ("random3", 3, (3, 4, 6), 1.1452995237906065, 1.1452995237906065),
+    ("random4", 4, (0,), 0.057479246833981985, 0.057479246833981985),
+    ("random5", 5, (5, 9), 0.7018586670949188, 0.6767185864883214),
+    ("random6", 6, (5, 6), 0.5298635895249844, 0.4399660021043409),
+    ("random7", 7, (1, 4), 1.3282887362748501, 1.3282887362748501),
+    ("wide0", 100, (59, 123), 2.6020852139652106e-18, 2.6020852139652106e-18),
+    ("wide1", 101, (169, 190), 2.6020852139652106e-18, 2.6020852139652106e-18),
+    ("wide2", 102, (71, 103), 1.734723475976807e-18, 1.734723475976807e-18),
+    ("wide_near1_0", 200, (66, 124), 0.6697959533607684, 0.4911836991312301),
+    ("wide_near1_1", 201, (131, 138), 0.6697959533607684, 0.5090449245541836),
+    ("wide_near1_2", 202, (12, 177), 0.6697959533607684, 0.5251200274348423),
+    ("table2-0", 0, (3, 4, 6), 1.0000000000000002, 1.0000000000000002),
+    ("table2-11", 11, (3, 4, 6), 1.0000000000000002, 1.0000000000000002),
+]
+
+
+def _pinned_instances():
+    rng = np.random.default_rng(4242)
+    insts = {f"random{k}": random_instance(rng) for k in range(8)}
+    rng = np.random.default_rng(77)
+    insts.update({f"wide{k}": wide_instance(rng, 2.0, 0, 60) for k in range(3)})
+    insts.update({f"wide_near1_{k}": wide_instance(rng, 1.2, 1, 6) for k in range(3)})
+    insts["table2-0"] = insts["table2-11"] = table2_instance()
+    return insts
+
+
+def test_solve_lp_pinned():
+    insts = _pinned_instances()
+    for name, seed, chosen, objective, lp_bound in LP_PINS:
+        sol = solve_lp(insts[name], seed)
+        assert sol.chosen == chosen, name
+        assert sol.objective == objective, name
+        assert math.isclose(sol.lp_bound, lp_bound, rel_tol=1e-12), name
+
+
+def test_solve_lp_is_irredundant():
+    rng = np.random.default_rng(91)
+    insts = [random_instance(rng, max_sets=30) for _ in range(150)]
+    insts += [wide_instance(rng, 1.1, 1, 8) for _ in range(6)]
+    for seed, inst in enumerate(insts):
+        chosen = solve_lp(inst, seed).chosen
+        for drop in chosen:
+            rest = 0
+            for i in chosen:
+                if i != drop:
+                    rest |= inst.sets[i]
+            assert rest != inst.full_mask(), (seed, drop)
+
+
 def test_enumeration_oracle_exact_at_tiny_weights():
     # the first instance of this stream has optimum 6.49e-16: an absolute
     # acceptance tolerance of 1e-15 in the oracle settles on 7.10e-16
