@@ -25,7 +25,6 @@ from .engine import (
     mis_branch,
     reduce_fixpoint,
     select_subgraph,
-    verify_witness,
 )
 from .errors import (
     CapacityError,
@@ -65,5 +64,5 @@ __all__ = [
     "mis_branch", "neighbors_k", "optimal_rule",
     "parse_graph", "prune_by_environment", "prune_irrelevant", "reduce_fixpoint",
     "region_of", "render_clause", "render_dnf", "select_subgraph", "single_cover",
-    "solve_exact", "solve_lp", "three_regular", "verify_witness",
+    "solve_exact", "solve_lp", "three_regular",
 ]

@@ -21,6 +21,9 @@ from .engine import SolveConfig, mis_branch
 from .errors import InputError
 from .generators import GENERATORS
 
+# run_bench lists every (size, trial) task up front; more than this is refused
+MAX_TASKS = 100_000
+
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -41,6 +44,9 @@ class BenchSpec:
             raise InputError("sizes must be a non-empty ascending list")
         if self.generator == "3regular" and any(n % 2 for n in self.sizes):
             raise InputError("3-regular sizes must be even")
+        if self.trials * len(self.sizes) > MAX_TASKS:
+            raise InputError(f"{self.trials} trials of {len(self.sizes)} sizes exceed "
+                             f"the limit of {MAX_TASKS} solves")
 
 
 @dataclass(frozen=True)

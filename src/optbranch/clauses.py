@@ -144,12 +144,13 @@ def delta_rho(c: Clause, r: Region, m: Measure) -> int:
         if drop <= 0:
             raise InternalError("empty clause produced no vertex removal")
         return drop
+    adj = host.adj_mask
     drop = 0
     for v in bits(removed):
-        drop += max(0, len(host.adj[v]) - 2)
+        drop += max(0, adj[v].bit_count() - 2)
     for u in bits(host.neighbors_mask(removed)):
-        d = len(host.adj[u])
-        lost = (host.adj_mask[u] & removed).bit_count()
+        d = adj[u].bit_count()
+        lost = (adj[u] & removed).bit_count()
         drop += max(0, d - 2) - max(0, d - lost - 2)
     if drop <= 0:
         raise DegenerateClauseError(

@@ -1,11 +1,15 @@
 """Immutable graph representation and the two complexity measures.
 
-Vertices are dense integers ``0..n-1``.  Vertex sets are plain Python ints
-used as bitmasks (bit v set means vertex v is a member), which keeps
-neighborhood and boundary arithmetic at O(n/64) per operation; the helpers
-:func:`as_mask` and :func:`bits` convert between masks and iterables.
-Graphs never mutate: deletions return a re-indexed copy plus the index map,
-so derived graphs can be shared freely across search branches.
+Vertices are integer ids.  A graph built from an edge list has the ids
+``0..n-1``; a graph derived from another (by deletion or by a reduction's
+folds) keeps its parent's ids, so one id names one vertex for a whole
+search, and a fold vertex takes a fresh id at or above its parent's ``n``.
+``Graph.n`` therefore bounds the ids rather than counting the vertices.
+Vertex sets are plain Python ints used as bitmasks (bit v set means vertex v
+is a member), which keeps neighborhood and boundary arithmetic at O(n/64)
+per operation; the helpers :func:`as_mask` and :func:`bits` convert between
+masks and iterables.  Graphs never mutate, so derived graphs can be shared
+freely across search branches.
 """
 
 from __future__ import annotations
@@ -17,19 +21,24 @@ from typing import Iterable, Iterator
 from .errors import InputError
 
 
-def as_mask(n: int, vertices) -> int:
-    """Normalize an int bitmask or an iterable of vertex ids to a bitmask."""
+def _members(live: int, vertices) -> int:
+    """Bitmask of ``vertices`` (an int mask or an iterable of ids), each of
+    which must be in the ``live`` mask."""
     if isinstance(vertices, int):
-        mask = vertices
-        if mask < 0 or mask >> n:
-            raise InputError(f"vertex mask {mask:#x} out of range for n={n}")
-        return mask
+        if vertices & ~live:
+            raise InputError(f"vertex mask {vertices:#x} names a vertex not in the graph")
+        return vertices
     mask = 0
     for v in vertices:
-        if not 0 <= v < n:
-            raise InputError(f"vertex id {v} out of range for n={n}")
+        if v < 0 or not live >> v & 1:
+            raise InputError(f"vertex id {v} is not in the graph")
         mask |= 1 << v
     return mask
+
+
+def as_mask(n: int, vertices) -> int:
+    """Normalize an int bitmask or an iterable of ids in ``0..n-1`` to a bitmask."""
+    return _members((1 << n) - 1, vertices)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -53,9 +62,13 @@ class Measure(Enum):
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists and bitmask rows."""
+    """Simple undirected graph as bitmask rows keyed by vertex id.
 
-    __slots__ = ("n", "adj", "adj_mask", "m")
+    ``adj_mask`` maps each live id, in ascending order, to the mask of its
+    neighbours; ``vertices`` masks the live ids; every id is below ``n``.
+    """
+
+    __slots__ = ("n", "adj_mask", "vertices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -69,53 +82,54 @@ class Graph:
             neighbor_masks[u] |= 1 << v
             neighbor_masks[v] |= 1 << u
         self.n = n
-        self.adj_mask = tuple(neighbor_masks)
-        self.adj = tuple(tuple(bits(m)) for m in neighbor_masks)
-        self.m = sum(len(a) for a in self.adj) // 2
+        self.adj_mask = dict(enumerate(neighbor_masks))
+        self.vertices = (1 << n) - 1
 
     @classmethod
-    def _from_adj(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
-        """Wrap ascending, symmetric, loop-free adjacency tuples unchecked;
-        for derived graphs whose rows were built from a valid graph."""
+    def _derived(cls, n: int, adj_mask: dict[int, int], vertices: int) -> Graph:
+        """Wrap symmetric, loop-free rows in ascending id order, unchecked;
+        for graphs derived from a valid one."""
         g = cls.__new__(cls)
-        g.n = len(adj)
-        g.adj = adj
-        g.adj_mask = tuple([sum(map((1).__lshift__, row)) for row in adj])
-        g.m = sum(map(len, adj)) // 2
+        g.n = n
+        g.adj_mask = adj_mask
+        g.vertices = vertices
         return g
 
+    @property
+    def m(self) -> int:
+        return sum(map(int.bit_count, self.adj_mask.values())) // 2
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield u, v
+        for u, row in self.adj_mask.items():
+            for v in bits(row >> (u + 1)):
+                yield u, u + 1 + v
 
     def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        return self.vertices
 
     def neighbors_mask(self, vertices) -> int:
         """Open neighborhood N(S) as a mask."""
-        s = as_mask(self.n, vertices)
+        s = _members(self.vertices, vertices)
         out = 0
         for v in bits(s):
             out |= self.adj_mask[v]
         return out & ~s
 
     def is_independent(self, vertices) -> bool:
-        s = as_mask(self.n, vertices)
+        s = _members(self.vertices, vertices)
         for v in bits(s):
             if self.adj_mask[v] & s:
                 return False
         return True
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.n == other.n and self.adj_mask == other.adj_mask
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, tuple(self.adj_mask.items())))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -128,7 +142,7 @@ def neighbors_k(g: Graph, s, k: int, closed: bool = False) -> int:
     N_k[S] = N_k(S) | N_{k-1}[S].  Only the last ring N_{k-1}(S) can have
     neighbours outside N_{k-1}[S], so each step expands that ring alone.
     """
-    mask = as_mask(g.n, s)
+    mask = _members(g.vertices, s)
     if mask == 0:
         raise InputError("neighbors_k requires a nonempty vertex set")
     if k < 1:
@@ -143,28 +157,17 @@ def neighbors_k(g: Graph, s, k: int, closed: bool = False) -> int:
     return closed_prev if closed else open_cur
 
 
-def induced_delete(g: Graph, removed) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on V(g) minus ``removed``.
-
-    Returns the re-indexed graph together with ``kept``, the ascending tuple
-    of surviving original ids; new vertex i corresponds to ``kept[i]``.
-    """
-    gone = as_mask(g.n, removed)
-    kept = tuple([v for v in range(g.n) if not gone >> v & 1])
-    new_id = [-1] * g.n
-    for i, old in enumerate(kept):
-        new_id[old] = i
-    # new ids ascend with the old ones, so every row stays sorted
-    adj = tuple([
-        tuple([new_id[w] for w in g.adj[old] if new_id[w] >= 0]) for old in kept
-    ])
-    return Graph._from_adj(adj), kept
+def induced_delete(g: Graph, removed) -> Graph:
+    """Induced subgraph on V(g) minus ``removed``, over the same ids."""
+    gone = _members(g.vertices, removed)
+    adj = {v: row & ~gone for v, row in g.adj_mask.items() if not gone >> v & 1}
+    return Graph._derived(g.n, adj, g.vertices & ~gone)
 
 
 def measure(g: Graph, m: Measure) -> int:
     if m is Measure.VERTEX_COUNT:
-        return g.n
-    return sum(d - 2 for d in map(len, g.adj) if d > 2)
+        return len(g.adj_mask)
+    return sum(d - 2 for d in map(int.bit_count, g.adj_mask.values()) if d > 2)
 
 
 @dataclass(frozen=True)
@@ -187,13 +190,12 @@ class Region:
 
     def local_adj_masks(self) -> list[int]:
         """Adjacency of the induced subgraph, re-indexed to local positions."""
+        adj = self.host.adj_mask
         pos = {v: i for i, v in enumerate(self.local_order)}
         masks = [0] * self.width
         for i, v in enumerate(self.local_order):
-            for w in self.host.adj[v]:
-                j = pos.get(w)
-                if j is not None:
-                    masks[i] |= 1 << j
+            for w in bits(adj[v] & self.vertices):
+                masks[i] |= 1 << pos[w]
         return masks
 
     def boundary_positions(self) -> tuple[int, ...]:
@@ -215,7 +217,7 @@ def region_of(g: Graph, vertices, boundary=None) -> Region:
     the region; pass ``boundary`` explicitly to analyze a subgraph against a
     declared (possibly hypothetical) environment instead.
     """
-    mask = as_mask(g.n, vertices)
+    mask = _members(g.vertices, vertices)
     if mask == 0:
         raise InputError("a region needs at least one vertex")
     if boundary is None:
@@ -224,7 +226,7 @@ def region_of(g: Graph, vertices, boundary=None) -> Region:
             if g.adj_mask[v] & ~mask:
                 bnd |= 1 << v
     else:
-        bnd = as_mask(g.n, boundary)
+        bnd = _members(g.vertices, boundary)
         if bnd & ~mask:
             raise InputError("boundary must be a subset of the region's vertices")
     return Region(g, mask, bnd, tuple(bits(mask)))

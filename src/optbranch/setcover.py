@@ -377,7 +377,8 @@ def _drop_redundant(sets, weights, picked, universe_size):
 
 
 def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
-    """LP relaxation plus the best of ``LP_TRIALS`` seeded rounding attempts.
+    """LP relaxation plus the best of ``LP_TRIALS`` seeded rounding attempts
+    (one when the relaxation is integral, as every attempt would agree).
 
     The relaxation is HiGHS's, on weights rescaled as in ``solve_exact``,
     over the same cheapest representative per coverage.  Representatives
@@ -403,7 +404,10 @@ def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
     full = inst.full_mask()
     best_picked = None
     best_obj = math.inf
-    for trial in range(LP_TRIALS):
+    # a draw lies in [0, 1), so when no x is strictly between 0 and 1 every
+    # trial picks the same sets, and the first of equal trials wins
+    trials = LP_TRIALS if ((x > 0) & (x < 1)).any() else 1
+    for trial in range(trials):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
         picked = (rng.random(len(inst.sets)) < x).nonzero()[0].tolist()
         covered = 0

@@ -122,15 +122,8 @@ def _induced_alpha(host: Graph, vertex_mask: int, limit: int) -> int:
         return 0
     if count > limit:
         return count
-    verts = tuple(bits(vertex_mask))
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * count
-    for i, v in enumerate(verts):
-        for w in host.adj[v]:
-            j = pos.get(w)
-            if j is not None:
-                adj[i] |= 1 << j
-    size, _ = _kernels.max_independent(count, adj)
+    induced = Region(host, vertex_mask, 0, tuple(bits(vertex_mask)))
+    size, _ = _kernels.max_independent(count, induced.local_adj_masks())
     return size
 
 

@@ -76,7 +76,7 @@ def oracle_alpha_tensor(region):
         ok = True
         for i in chosen:
             for j in chosen:
-                if i < j and order[j] in host.adj[order[i]]:
+                if i < j and host.adj_mask[order[i]] >> order[j] & 1:
                     ok = False
                     break
             if not ok:

@@ -12,7 +12,7 @@ import pytest
 
 from optbranch.bench import BenchSpec, geometric_mean, run_bench, trial_seed
 from optbranch.clauses import build_candidates, render_clause
-from optbranch.engine import SolveConfig, mis_branch, verify_witness
+from optbranch.engine import SolveConfig, mis_branch
 from optbranch.generators import GENERATORS
 from optbranch.graph import Graph, Measure, region_of
 from optbranch.optimize import SolverKind, find_gamma, minimize_gamma, optimal_rule
@@ -132,7 +132,7 @@ def test_criterion_5_tutte_graph():
     g = tutte_graph()
     report = mis_branch(g, SolveConfig())
     assert report.mis_size == 19
-    assert verify_witness(g, report.witness) and len(report.witness) == 19
+    assert g.is_independent(report.witness) and len(report.witness) == 19
     assert report.branch_count <= 10
     assert report.branch_count == TUTTE_BRANCH_COUNT
     again = mis_branch(g, SolveConfig())
@@ -158,7 +158,7 @@ def test_criterion_6_oracle_equivalence():
                 for meas in (Measure.VERTEX_COUNT, Measure.EFFECTIVE_DEGREE):
                     rep = mis_branch(g, SolveConfig(measure=meas, solver_kind=kind, seed=seed))
                     assert rep.mis_size == want, (gen_name, n, seed, kind, meas)
-                    assert verify_witness(g, rep.witness)
+                    assert g.is_independent(rep.witness)
                     assert len(rep.witness) == want
             checked += 1
     elapsed = time.perf_counter() - start

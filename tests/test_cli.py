@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from optbranch.bench import MAX_TASKS
 from optbranch.cli import main
 from optbranch.io import MAX_VERTICES
 
@@ -110,6 +111,13 @@ class TestBench:
                      "--out", out]) == 2
         assert f"exceeds the limit of {MAX_VERTICES} vertices" in capsys.readouterr().err
         assert not (files["dir"] / "never.csv").exists()
+
+    def test_task_count_above_limit_exits_two(self, files, capsys):
+        out = files["dir"] / "never.csv"
+        assert main(["bench", "--gen", "grid", "--sizes", "9,16", "--trials",
+                     "1000000000000", "--out", str(out)]) == 2
+        assert f"exceed the limit of {MAX_TASKS} solves" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_below_one_exits_two(self, files, capsys):
         assert main(["bench", "--gen", "grid", "--sizes", "9", "--trials", "1",

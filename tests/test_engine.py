@@ -6,11 +6,11 @@ import pytest
 from optbranch import engine
 from optbranch.bench import BenchSpec, run_bench
 from optbranch.engine import (
-    SolveConfig, components, mis_branch, reduce_fixpoint, select_subgraph, verify_witness,
+    SolveConfig, components, mis_branch, reduce_fixpoint, select_subgraph,
 )
 from optbranch.errors import InputError, InternalError
-from optbranch.generators import kings_subgraph
-from optbranch.graph import Graph, neighbors_k
+from optbranch.generators import erdos_renyi, kings_subgraph, three_regular
+from optbranch.graph import Graph, bits, induced_delete, neighbors_k
 from optbranch.optimize import SolverKind
 
 from oracles import oracle_mis
@@ -40,13 +40,13 @@ def random_graph(rng, n, p):
 class TestReduceFixpoint:
     def test_path_three(self):
         red = reduce_fixpoint(path(3))
-        assert red.graph.n == 0 and red.offset == 2
+        assert red.graph.vertices == 0 and red.offset == 2
         assert red.resolve(set()) == {0, 2}
 
     def test_cycle_five_resolves_by_folding(self):
         g = cycle(5)
         red = reduce_fixpoint(g)
-        assert red.graph.n == 0 and red.offset == 2
+        assert red.graph.vertices == 0 and red.offset == 2
         witness = red.resolve(set())
         assert g.is_independent(witness) and len(witness) == 2
 
@@ -59,34 +59,58 @@ class TestReduceFixpoint:
         g = petersen()
         red = reduce_fixpoint(g)
         assert red.graph is g and red.changed == 0
-        assert list(red.kept) == list(range(g.n))
+        assert red.takes == [] and red.folds == [] and red.offset == 0
 
     def test_kernel_matches_graph_from_edges(self):
+        # same ids: the kernel's rows are those of Graph(kernel.n, its edges)
+        # on its live ids, in ascending id order
         rng = np.random.default_rng(61)
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.3)))
             kernel = reduce_fixpoint(g).graph
             want = Graph(kernel.n, list(kernel.edges()))
-            assert kernel == want
-            assert kernel.adj_mask == want.adj_mask and kernel.m == want.m
+            assert list(kernel.adj_mask) == list(bits(kernel.vertices))
+            assert kernel.adj_mask == {v: want.adj_mask[v] for v in bits(kernel.vertices)}
+            assert kernel.m == want.m
 
     def test_changed_marks_rewritten_vertices(self):
         rng = np.random.default_rng(67)
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.3)))
             red = reduce_fixpoint(g)
-            for i, old in enumerate(red.kept):
-                if not (red.changed >> i) & 1:
-                    # an unmarked survivor has exactly its input neighbours
-                    assert old < g.n
-                    assert [red.kept[w] for w in red.graph.adj[i]] == list(g.adj[old])
+            assert red.changed & ~red.graph.vertices == 0
+            for v, row in red.graph.adj_mask.items():
+                if not (red.changed >> v) & 1:
+                    # an unmarked survivor has exactly its input row
+                    assert v < g.n and row == g.adj_mask[v]
+
+    def test_fold_ids_start_at_input_n(self):
+        rng = np.random.default_rng(73)
+        folded = 0
+        for _ in range(40):
+            g = random_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.3)))
+            red = reduce_fixpoint(g)
+            fold_ids = [z for z, _v, _u, _w in red.folds]
+            assert fold_ids == list(range(g.n, red.graph.n))
+            assert red.offset == len(red.takes) + len(red.folds)
+            # a live id below the input's n is a survivor, every other a fold
+            assert all(v < g.n or v in fold_ids for v in red.graph.adj_mask)
+            folded += len(red.folds)
+        assert folded >= 10
+
+    def test_reduces_a_derived_graph_over_its_ids(self):
+        # a path 1-2-3-4 left after deleting 0 and 5 from a path on 6
+        g = induced_delete(Graph(6, [(i, i + 1) for i in range(5)]), [0, 5])
+        red = reduce_fixpoint(g)
+        assert red.graph.vertices == 0 and red.offset == 2
+        assert red.resolve(()) == {1, 3}
 
     def test_witness_sound_on_random_sparse_graphs(self):
         rng = np.random.default_rng(83)
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(2, 14)), 0.18)
             red = reduce_fixpoint(g)
-            if red.graph.n == 0:
+            if red.graph.vertices == 0:
                 witness = red.resolve(set())
                 assert g.is_independent(witness)
                 assert len(witness) == red.offset == oracle_mis(g)
@@ -130,8 +154,10 @@ class TestCarriedKeys:
             region = real(g, cfg, keys, changed)
             assert real(g, cfg) == region
             fresh = [None] * g.n
-            real(g, cfg, fresh, g.full_mask())
-            assert keys == fresh
+            real(g, cfg, fresh, g.vertices)
+            # keys are indexed by id; only the live ids' entries are read
+            assert len(keys) == g.n
+            assert [keys[v] for v in g.adj_mask] == [fresh[v] for v in g.adj_mask]
             reused.append(g.n - stale.bit_count())
             return region
 
@@ -163,6 +189,35 @@ def test_components_split():
     assert components(g) == [0b00011, 0b01100, 0b10000]
 
 
+PIN_GRAPHS = {
+    "3regular": three_regular,
+    "kings": lambda n, seed: kings_subgraph(n, 0.8, seed),
+    "er": lambda n, seed: erdos_renyi(n, 8.0, seed),
+}
+PIN_CONFIGS = {
+    "default": SolveConfig(),
+    "lp": SolveConfig(solver_kind=SolverKind.LP_RELAXED),
+    "r1k7": SolveConfig(selection_radius=1, enumeration_limit=7),
+}
+SEARCH_PINS = [
+    (('3regular', 40, 1, 'default'), (18, 4, 2, 2, 0x824cb6ac87)),
+    (('3regular', 60, 3, 'default'), (26, 16, 10, 4, 0xea3a226e409ba12)),
+    (('kings', 60, 6, 'default'), (19, 0, 5, 5, 0xaa02a80b014a059)),
+    (('kings', 90, 2, 'default'), (29, 0, 7, 7, 0x244a900ad0062a0ca510a31)),
+    (('er', 30, 3, 'default'), (10, 5, 2, 2, 0x44e4891)),
+    (('3regular', 40, 1, 'lp'), (18, 4, 2, 2, 0x824cb6ac87)),
+    (('3regular', 60, 3, 'lp'), (26, 17, 11, 4, 0x958c1f1ab2a2451)),
+    (('kings', 60, 6, 'lp'), (19, 0, 5, 5, 0xaa02a80b014a059)),
+    (('kings', 90, 2, 'lp'), (29, 0, 7, 7, 0x254a100ad0062a0ca510a31)),
+    (('er', 30, 3, 'lp'), (10, 5, 2, 2, 0x44e4891)),
+    (('3regular', 40, 1, 'r1k7'), (18, 14, 6, 3, 0x824cb6ac87)),
+    (('3regular', 60, 3, 'r1k7'), (26, 34, 18, 5, 0x2831f6af001b872)),
+    (('kings', 60, 6, 'r1k7'), (19, 16, 23, 8, 0xaa02a80b00aa059)),
+    (('kings', 90, 2, 'r1k7'), (29, 128, 178, 16, 0x1442950850862a0ca510a31)),
+    (('er', 30, 3, 'r1k7'), (10, 20, 11, 7, 0x44e4891)),
+]
+
+
 class TestMisBranch:
     def test_empty_graph_on_seven_vertices(self):
         rep = mis_branch(Graph(7, []))
@@ -172,7 +227,7 @@ class TestMisBranch:
     def test_tutte_graph(self):
         rep = mis_branch(tutte_graph())
         assert rep.mis_size == 19
-        assert verify_witness(tutte_graph(), rep.witness)
+        assert tutte_graph().is_independent(rep.witness)
 
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(89)
@@ -182,8 +237,19 @@ class TestMisBranch:
             want = oracle_mis(g)
             rep = mis_branch(g, SolveConfig(seed=3))
             assert rep.mis_size == want
-            assert verify_witness(g, rep.witness)
+            assert g.is_independent(rep.witness)
             assert len(rep.witness) == rep.mis_size
+
+    def test_derived_graph_keeps_its_ids(self):
+        rng = np.random.default_rng(109)
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(6, 17)), float(rng.uniform(0.15, 0.5)))
+            sub = induced_delete(g, [v for v in range(g.n) if rng.random() < 0.3])
+            if not sub.vertices:
+                continue
+            rep = mis_branch(sub)
+            assert rep.mis_size == oracle_mis(sub)
+            assert rep.witness <= set(sub.adj_mask) and sub.is_independent(rep.witness)
 
     def test_component_additivity(self):
         rng = np.random.default_rng(97)
@@ -246,6 +312,16 @@ class TestMisBranch:
             (400, 127, 6), (400, 125, 0), (400, 126, 0), (400, 125, 22),
         ]
 
+    def test_search_pinned(self):
+        # (mis_size, branch_count, node_count, max_depth, witness as a mask),
+        # recorded when every derived graph was still renumbered to 0..n-1
+        for (kind, n, seed, cfg_name), want in SEARCH_PINS:
+            g = PIN_GRAPHS[kind](n, seed)
+            rep = mis_branch(g, PIN_CONFIGS[cfg_name])
+            got = (rep.mis_size, rep.branch_count, rep.node_count, rep.max_depth,
+                   sum(1 << v for v in rep.witness))
+            assert got == want, (kind, n, seed, cfg_name)
+
     def test_bad_config_rejected(self):
         with pytest.raises(InputError):
             SolveConfig(selection_radius=0)
@@ -276,16 +352,16 @@ class TestLogging:
 class TestVerifyWitness:
     def test_edge_inside_set_fails(self):
         g = path(4)
-        assert not verify_witness(g, [0, 1])
+        assert not g.is_independent([0, 1])
 
     def test_empty_set_passes(self):
-        assert verify_witness(path(4), [])
+        assert path(4).is_independent([])
 
     def test_engine_witnesses_pass(self):
         rng = np.random.default_rng(107)
         g = random_graph(rng, 15, 0.3)
         rep = mis_branch(g)
-        assert verify_witness(g, rep.witness)
+        assert g.is_independent(rep.witness)
 
 
 class TestWitnessCertificate:
@@ -311,7 +387,7 @@ class TestWitnessCertificate:
 
         def swap(witness):
             v = min(witness)
-            u = next(u for u in g.adj[v] if u not in witness)
+            u = next(u for u in bits(g.adj_mask[v]) if u not in witness)
             return (witness - {max(witness)}) | {u}
 
         self.corrupt_resolve(monkeypatch, g, swap)

@@ -31,10 +31,12 @@ class TestGraph:
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(3, 0), (2, 0), (1, 3)])
-        assert g.adj[0] == (2, 3)
-        for u in range(4):
-            for v in g.adj[u]:
-                assert u in g.adj[v]
+        assert list(g.adj_mask) == [0, 1, 2, 3] and g.vertices == 0b1111
+        assert list(bits(g.adj_mask[0])) == [2, 3]
+        for u, row in g.adj_mask.items():
+            for v in bits(row):
+                assert g.adj_mask[v] >> u & 1
+        assert list(g.edges()) == [(0, 2), (0, 3), (1, 3)]
 
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
@@ -62,6 +64,17 @@ class TestNeighborsK:
         with pytest.raises(InputError):
             neighbors_k(fig1(), [9], 1)
 
+    def test_dead_vertex_rejected(self):
+        # vertex 3 is below n but was deleted: every graph operation refuses it
+        sub = induced_delete(fig1(), [3])
+        assert sub.n == 5
+        for call in (lambda: neighbors_k(sub, [3], 1), lambda: neighbors_k(sub, 1 << 3, 1),
+                     lambda: sub.neighbors_mask([3]), lambda: sub.is_independent([0, 3]),
+                     lambda: induced_delete(sub, [3]), lambda: region_of(sub, [2, 3]),
+                     lambda: neighbors_k(sub, [-1], 1)):
+            with pytest.raises(InputError):
+                call()
+
     @given(small_graphs(), st.integers(0, 9), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_nesting_and_disjointness(self, g, v, k):
@@ -74,46 +87,55 @@ class TestNeighborsK:
 
 class TestInducedDelete:
     def test_fig1_minus_d_e_is_edgeless(self):
-        sub, kept = induced_delete(fig1(), [3, 4])
-        assert kept == (0, 1, 2)
-        assert sub.m == 0 and sub.n == 3
+        sub = induced_delete(fig1(), [3, 4])
+        assert list(sub.adj_mask) == [0, 1, 2] and sub.vertices == 0b111
+        assert sub.m == 0 and sub.n == 5
 
     def test_remove_nothing_is_copy(self):
         g = fig1()
-        sub, kept = induced_delete(g, 0)
-        assert sub == g and kept == tuple(range(5))
+        sub = induced_delete(g, 0)
+        assert sub == g and sub.vertices == g.vertices
 
     def test_triangle_minus_vertex_is_edge(self):
         tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        sub, _ = induced_delete(tri, [0])
-        assert sub.n == 2 and sub.m == 1
+        sub = induced_delete(tri, [0])
+        assert list(sub.adj_mask) == [1, 2] and sub.m == 1
+        assert list(sub.edges()) == [(1, 2)]
 
     @given(small_graphs(), st.integers(0, 1023))
     @settings(max_examples=60, deadline=None)
     def test_preserves_simplicity_and_monotone_measure(self, g, removed):
-        sub, kept = induced_delete(g, removed)
-        for u in range(sub.n):
-            assert u not in sub.adj[u]
-            for v in sub.adj[u]:
-                assert u in sub.adj[v]
+        sub = induced_delete(g, removed)
+        for u, row in sub.adj_mask.items():
+            assert not row >> u & 1
+            for v in bits(row):
+                assert sub.adj_mask[v] >> u & 1
         for m in Measure:
             assert measure(sub, m) <= measure(g, m)
         # edges survive exactly when both ends survive
-        kept_set = set(kept)
         expected = sum(
-            1 for u, v in g.edges() if u in kept_set and v in kept_set
+            1 for u, v in g.edges() if not (removed >> u & 1 or removed >> v & 1)
         )
         assert sub.m == expected
 
     @given(small_graphs(), st.integers(0, 1023))
     @settings(max_examples=80, deadline=None)
     def test_matches_graph_built_from_edges(self, g, removed):
-        sub, kept = induced_delete(g, removed)
-        pos = {v: i for i, v in enumerate(kept)}
-        want = Graph(len(kept), [(pos[u], pos[v]) for u, v in g.edges()
-                                 if u in pos and v in pos])
-        assert sub == want
-        assert sub.adj_mask == want.adj_mask and sub.m == want.m
+        # same ids: the rows are those of Graph(g.n, surviving edges) on the
+        # live ids, listed in ascending id order
+        sub = induced_delete(g, removed)
+        live = g.vertices & ~removed
+        want = Graph(g.n, [(u, v) for u, v in g.edges() if live >> u & 1 and live >> v & 1])
+        assert sub.vertices == live and sub.n == g.n
+        assert list(sub.adj_mask) == list(bits(live))
+        assert sub.adj_mask == {v: want.adj_mask[v] for v in bits(live)}
+
+    def test_chained_deletes_keep_ids(self):
+        g = Graph(6, [(i, i + 1) for i in range(5)])
+        sub = induced_delete(induced_delete(g, [1]), [4])
+        assert list(sub.adj_mask) == [0, 2, 3, 5]
+        assert list(sub.edges()) == [(2, 3)]
+        assert sub == induced_delete(g, [1, 4])
 
 
 class TestMeasure:

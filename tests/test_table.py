@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optbranch import CapacityError
-from optbranch.graph import Graph, region_of
+from optbranch.graph import Graph, bits, region_of
 from optbranch.table import (
     NEG_INF, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant,
 )
@@ -165,9 +165,8 @@ def _environment_alpha(region, key):
     pos = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)
     for i, v in enumerate(verts):
-        for w in host.adj[v]:
-            if w in pos:
-                adj[i] |= 1 << pos[w]
+        for w in bits(host.adj_mask[v] & left):
+            adj[i] |= 1 << pos[w]
     return max_independent(len(verts), adj)[0]
 
 

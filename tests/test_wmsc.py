@@ -341,6 +341,26 @@ def test_solve_lp_pinned():
         assert math.isclose(sol.lp_bound, lp_bound, rel_tol=1e-12), name
 
 
+def test_solve_lp_draws_once_when_relaxation_is_integral(monkeypatch):
+    real = np.random.default_rng
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(setcover.np.random, "default_rng", counting)
+    # disjoint sets: the relaxation is integral, so every trial would agree
+    integral = WmscInstance(4, (0b0011, 0b1100, 0b0110), (0.3, 0.4, 0.9))
+    assert solve_lp(integral, seed=7).chosen == (0, 1)
+    assert len(draws) == 1
+    # a triangle of pairs: x = 1/2 on every set, so every trial runs
+    draws.clear()
+    fractional = WmscInstance(3, (0b011, 0b110, 0b101), (1.0, 1.0, 1.0))
+    solve_lp(fractional, seed=7)
+    assert len(draws) == setcover.LP_TRIALS
+
+
 def test_solve_lp_is_irredundant():
     rng = np.random.default_rng(91)
     insts = [random_instance(rng, max_sets=30) for _ in range(150)]
