@@ -158,7 +158,8 @@ class TestCarriedKeys:
             # keys are indexed by id; only the live ids' entries are read
             assert len(keys) == g.n
             assert [keys[v] for v in g.adj_mask] == [fresh[v] for v in g.adj_mask]
-            reused.append(g.n - stale.bit_count())
+            # live ids whose carried key the engine kept (dead ids never count)
+            reused.append((g.vertices & ~stale).bit_count())
             return region
 
         monkeypatch.setattr(engine, "select_subgraph", checking)
