@@ -9,11 +9,8 @@ from .clauses import (
     DNF,
     CandidateClause,
     Clause,
-    candidate_clauses,
-    covers,
     delta_rho,
     intersection,
-    is_valid_rule,
     render_clause,
     render_dnf,
     single_cover,
@@ -28,7 +25,6 @@ from .engine import (
 )
 from .errors import (
     CapacityError,
-    DegenerateClauseError,
     InfeasibleError,
     InputError,
     InternalError,
@@ -54,13 +50,13 @@ BACKEND = "numpy"
 
 __all__ = [
     "AlphaTensor", "BACKEND", "BranchingTable", "CandidateClause", "CapacityError",
-    "Clause", "DegenerateClauseError", "DNF", "Graph", "InfeasibleError",
+    "Clause", "DNF", "Graph", "InfeasibleError",
     "InputError", "InternalError", "Measure", "OptBranchError",
     "OptimalBranchingResult", "Reduction", "Region", "SolveConfig", "SolveReport",
     "SolverKind", "WmscInstance", "WmscSolution", "alpha_tensor", "as_mask",
-    "bits", "boundary_grouped", "candidate_clauses", "covers", "delta_rho",
+    "bits", "boundary_grouped", "delta_rho",
     "erdos_renyi", "find_gamma", "grid_subgraph", "induced_delete", "intersection",
-    "is_valid_rule", "kings_subgraph", "measure", "minimize_gamma",
+    "kings_subgraph", "measure", "minimize_gamma",
     "mis_branch", "neighbors_k", "optimal_rule",
     "parse_graph", "prune_by_environment", "prune_irrelevant", "reduce_fixpoint",
     "region_of", "render_clause", "render_dnf", "select_subgraph", "single_cover",

@@ -22,9 +22,5 @@ class InfeasibleError(OptBranchError):
     """A set-cover instance whose sets cannot cover the universe."""
 
 
-class DegenerateClauseError(OptBranchError):
-    """A clause whose application does not reduce the complexity measure."""
-
-
 class InternalError(OptBranchError):
     """An invariant that should be unreachable was violated; report as a bug."""

@@ -7,11 +7,12 @@ bisection is the one exception, noted on it.
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
 from optbranch.errors import InfeasibleError, InternalError
-from optbranch.graph import bits
+from optbranch.graph import Measure, bits
 from optbranch.setcover import WmscInstance, solve_exact
 
 
@@ -107,6 +108,79 @@ def oracle_candidates(table):
             if mask:
                 out.add((mask, values & mask))
     return out
+
+
+def oracle_closure(table):
+    """The candidate closure one clause at a time, from a first-in first-out
+    worklist: (mask, values, coverage) per clause, in first-insertion order.
+
+    Each popped clause is intersected with the configurations of the rows
+    it does not cover, row by row and configuration by configuration.
+    """
+    width = table.width
+    full = (1 << width) - 1
+    rows = [tuple(sorted(row)) for row in table.rows]
+    out = []
+    seen = set()
+    queue = deque()
+
+    def push(mask, values):
+        key = (mask << width) | values
+        if key not in seen:
+            seen.add(key)
+            queue.append((mask, values))
+
+    for row in rows:
+        for cfg in row:
+            push(full, cfg)
+    while queue:
+        mask, values = queue.popleft()
+        coverage = 0
+        for i, row in enumerate(rows):
+            if any(cfg & mask == values for cfg in row):
+                coverage |= 1 << i
+        out.append((mask, values, coverage))
+        for i, row in enumerate(rows):
+            if (coverage >> i) & 1:
+                continue
+            for cfg in row:
+                shared = mask & ~(values ^ cfg)
+                if shared:
+                    push(shared, values & shared)
+    return out
+
+
+def oracle_delta_rho(c, r, m):
+    """Measure reduction of one clause's branch, walking the host's bits.
+
+    The branch removes V(c) and the neighbours of the asserted vertices;
+    under EFFECTIVE_DEGREE every removed vertex gives up its max(0, d - 2)
+    and every surviving neighbour of a removed one the drop of that term.
+    May be zero or less, for a degenerate clause.
+    """
+    host = r.host
+    adj = host.adj_mask
+    removed = r.to_host_mask(c.mask) | host.neighbors_mask(r.to_host_mask(c.true_mask))
+    if m is Measure.VERTEX_COUNT:
+        return removed.bit_count()
+    drop = 0
+    for v in bits(removed):
+        drop += max(0, adj[v].bit_count() - 2)
+    for u in bits(host.neighbors_mask(removed)):
+        d = adj[u].bit_count()
+        lost = (adj[u] & removed).bit_count()
+        drop += max(0, d - 2) - max(0, d - lost - 2)
+    return drop
+
+
+def covers(c, row):
+    """True when at least one configuration in ``row`` satisfies clause ``c``."""
+    return any(cfg & c.mask == c.values for cfg in row)
+
+
+def is_valid_rule(d, table):
+    """True when every row of the table is covered by some clause of ``d``."""
+    return all(any(covers(c, row) for c in d.clauses) for row in table.rows)
 
 
 def oracle_set_cover(universe_size, sets, weights):

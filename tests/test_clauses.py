@@ -1,18 +1,24 @@
+import hashlib
+
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from optbranch import DegenerateClauseError
+from optbranch import engine
 from optbranch.clauses import (
-    Clause, DNF, build_candidates, candidate_clauses, covers, delta_rho,
-    intersection, is_valid_rule, render_clause, render_dnf, single_cover,
+    CandidateClause, Clause, DNF, _closure, build_candidates, delta_rho,
+    intersection, render_clause, render_dnf, single_cover,
 )
-from optbranch.graph import Graph, Measure, region_of
-from optbranch.table import BranchingTable, alpha_tensor, boundary_grouped, prune_irrelevant
+from optbranch.engine import SolveConfig, mis_branch
+from optbranch.generators import kings_subgraph, three_regular
+from optbranch.graph import Graph, Measure, induced_delete, region_of
+from optbranch.table import (
+    BranchingTable, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant,
+)
 
-from oracles import oracle_candidates
+from oracles import covers, is_valid_rule, oracle_candidates, oracle_closure, oracle_delta_rho
 from paper_cases import (
-    FIG1_CANDIDATES, FIG1_ROWS, domination_region, fig1_region, string_to_config,
+    FIG1_CANDIDATES, FIG1_ROWS, bottleneck_region, domination_region, fig1_region,
+    ph2_region, string_to_config,
 )
 
 
@@ -30,6 +36,21 @@ def clause_from_text(text, width):
 
 def fig1_table():
     return boundary_grouped(prune_irrelevant(alpha_tensor(fig1_region())))
+
+
+def table_of(region, env_pruning):
+    tensor = prune_irrelevant(alpha_tensor(region))
+    if env_pruning:
+        tensor = prune_by_environment(tensor)
+    return boundary_grouped(tensor)
+
+
+def candidate_clauses(table):
+    return [Clause(table.width, mask, values) for mask, values, _ in _closure(table)]
+
+
+def drops(clauses, region, m):
+    return delta_rho([c.mask for c in clauses], [c.values for c in clauses], region, m)
 
 
 def clauses_strategy(width=5):
@@ -156,31 +177,143 @@ class TestCandidateClauses:
 class TestDeltaRho:
     def test_c7_vertex_count(self):
         c = clause_from_text("¬a ∧ ¬c ∧ d ∧ ¬e", 5)
-        assert delta_rho(c, fig1_region(), Measure.VERTEX_COUNT) == 4
+        assert drops([c], fig1_region(), Measure.VERTEX_COUNT) == [4]
 
     def test_full_width_removes_region(self):
         g = Graph(5, [])
         r = region_of(g, range(5), boundary=[0])
         c = single_cover(0b00110, 5)
-        assert delta_rho(c, r, Measure.VERTEX_COUNT) == 5
+        assert drops([c], r, Measure.VERTEX_COUNT) == [5]
 
     def test_ph2_c9_effective_degree(self):
-        from paper_cases import ph2_region
         c = clause_from_text("¬a ∧ b ∧ ¬c ∧ ¬f", 8)
-        assert delta_rho(c, ph2_region(), Measure.EFFECTIVE_DEGREE) == 10
+        assert drops([c], ph2_region(), Measure.EFFECTIVE_DEGREE) == [10]
 
-    def test_degenerate_effective_degree_raises(self):
+    def test_degenerate_effective_degree_is_dropped(self):
         # removing the end of a path changes no degree past two
         g = Graph(3, [(0, 1), (1, 2)])
         r = region_of(g, [0], boundary=[0])
-        with pytest.raises(DegenerateClauseError):
-            delta_rho(Clause(1, 1, 0), r, Measure.EFFECTIVE_DEGREE)
+        assert drops([Clause(1, 1, 0)], r, Measure.EFFECTIVE_DEGREE) == [0]
+        table = BranchingTable(1, ((0,),), (0,), (0,))
+        assert build_candidates(table, r, Measure.EFFECTIVE_DEGREE) == []
+        assert build_candidates(table, r, Measure.VERTEX_COUNT) == [
+            CandidateClause(Clause(1, 1, 0), 1, 1)]
 
     @given(clauses_strategy())
     @settings(max_examples=60, deadline=None)
     def test_vertex_count_at_least_literals(self, c):
         r = fig1_region()
-        assert delta_rho(c, r, Measure.VERTEX_COUNT) >= c.mask.bit_count()
+        assert drops([c], r, Measure.VERTEX_COUNT)[0] >= c.mask.bit_count()
+
+
+class TestArraysMatchOracles:
+    """The array closure and δρ against the one-clause-at-a-time oracles, on
+    seeded random regions of hosts whose ids are sparse (some deleted)."""
+
+    def test_random_regions(self):
+        rng = np.random.default_rng(2026)
+        degenerate = checked = 0
+        for trial in range(60):
+            n = int(rng.integers(6, 17))
+            p = float(rng.uniform(0.15, 0.5))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            g = Graph(n, edges)
+            dead = [v for v in range(n) if rng.random() < 0.2]
+            host = induced_delete(g, dead) if len(dead) < n - 2 else g
+            live = list(host.adj_mask)
+            size = int(rng.integers(1, min(9, len(live)) + 1))
+            vertices = sorted(rng.choice(live, size, replace=False).tolist())
+            r = region_of(host, vertices)
+            for env_pruning in {False, r.vertices != host.full_mask()}:
+                table = table_of(r, env_pruning)
+                entries = _closure(table)
+                assert entries == oracle_closure(table)
+                width = table.width
+                extra = [(int(mk), int(v) & int(mk)) for mk, v in zip(
+                    rng.integers(1, 1 << width, 20), rng.integers(0, 1 << width, 20))]
+                clauses = [Clause(width, mk, v) for mk, v, _ in entries]
+                clauses += [Clause(width, mk, v) for mk, v in extra]
+                for m in Measure:
+                    want = [oracle_delta_rho(c, r, m) for c in clauses]
+                    assert drops(clauses, r, m) == want
+                    degenerate += sum(d <= 0 for d in want)
+                    checked += len(want)
+                    assert build_candidates(table, r, m) == [
+                        CandidateClause(Clause(width, mk, v), cov, d)
+                        for (mk, v, cov), d in zip(entries, want)
+                        if d > 0
+                    ]
+        assert checked > 2000 and degenerate > 50
+
+
+def candidate_digest(cands):
+    rows = [(c.clause.mask, c.clause.values, c.coverage, c.delta_rho) for c in cands]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# sha256 of repr([(mask, values, coverage, δρ), ...]) in candidate order,
+# recorded with the one-clause-at-a-time closure and δρ
+REGION_PINS = {
+    "fig1": (14, "7e473bddb529c8ef7dccaf9f9e74522e494586208e9b68c812f12d6d3a61312f"),
+    "ph2": (17, "b2741a39fc692b7347d672656c504aac0db9c543fb1d398b5b43774f9a5ab6c0"),
+    "bottleneck": (15782, "32a7a82e4dce05fed8272a23fd325f969de541d302501b35986cdb10315f3934"),
+}
+
+# sha256 of repr([(candidate rows as above, chosen indices), ...]) over every
+# synthesis of one mis_branch solve, with its syntheses, candidates and
+# branches; recorded as REGION_PINS
+SEARCH_PINS = {
+    ("3reg60", 0, "vc"): (6, 460, 11, "16b0d8bd5043287fd4ded02172d91a920570e730fea1d2d26cc35b00a4cc4fe3"),
+    ("3reg60", 0, "ed"): (9, 508, 11, "554d4f1bad8f787c79618211c44a0003218cd02fcb8beb3a100be10f62b3f247"),
+    ("3reg60", 1, "vc"): (8, 308, 12, "26961dff0b96533ef52fd200f564e0db7575f446ab8b0169d94f77995159a4b6"),
+    ("3reg60", 1, "ed"): (10, 478, 17, "ac326b05873eb65189050371f7c08cb45a6a16ac2f417207f394476bf2579913"),
+    ("3reg60", 2, "vc"): (7, 163, 14, "8a605bc789b1c81caf73d5469585234ffc1efc5ec0724e5f5b427b5cb2cc26b6"),
+    ("3reg60", 2, "ed"): (6, 176, 11, "1900e06affbe5620a666e1507706392f1ddae0c3194f822dcf041d5f458f478e"),
+    ("3reg60", 3, "vc"): (10, 397, 16, "09a86db2d2e43e45b443d58d89b0fa1a13ab6ef34461bd1f1983018595e6bd69"),
+    ("3reg60", 3, "ed"): (10, 414, 16, "500be085a2b1b2b4d9d423d9f232d83cfc0597fcde2a5c486d2954c9de2f66ce"),
+    ("3reg60", 4, "vc"): (8, 325, 12, "5c79fd14053de546b6c421ab935e8541f35307216723b02ff8295d8d7c74b75a"),
+    ("3reg60", 4, "ed"): (9, 307, 10, "835eead2f991d44815de1c3ce436da2135eb13fe64fc89dffbca31974e9df7c0"),
+    ("3reg60", 5, "vc"): (8, 469, 15, "8034cf68aff2c565fca1fdae21dc5f30e9a9d5b7dbf40ebd2693b058f47d8b18"),
+    ("3reg60", 5, "ed"): (12, 770, 18, "b930ccdc8c2d15773154a4b43576145e8ab57ced037bbf198c18eaff06e16f71"),
+    ("kings400", 4, "vc"): (101, 2398, 8, "fb4a68841f9cf3ba3d9302f9ea57238cd38f5fc0d791f7a2d0e1bf1d6bd1a2d2"),
+    ("kings400", 4, "ed"): (156, 3392, 27, "ca827dd217392a421ba223c07d6d769abaa62e56f78877b7b388f2c2adc60c9f"),
+}
+
+PIN_GRAPHS = {
+    "3reg60": lambda seed: three_regular(60, seed),
+    "kings400": lambda seed: kings_subgraph(400, 0.8, seed),
+}
+
+
+class TestCandidatePins:
+    def test_paper_regions(self):
+        cases = {
+            "fig1": (fig1_region(), Measure.VERTEX_COUNT),
+            "ph2": (ph2_region(), Measure.EFFECTIVE_DEGREE),
+            "bottleneck": (bottleneck_region(), Measure.EFFECTIVE_DEGREE),
+        }
+        for name, (region, m) in cases.items():
+            env_pruning = region.vertices != region.host.full_mask()
+            cands = build_candidates(table_of(region, env_pruning), region, m)
+            assert (len(cands), candidate_digest(cands)) == REGION_PINS[name], name
+
+    def test_every_synthesis_of_a_search(self, monkeypatch):
+        for (kind, seed, measure), want in SEARCH_PINS.items():
+            seen = []
+            synthesize = engine.optimal_rule
+
+            def record(*args, **kwargs):
+                table, cands, result = synthesize(*args, **kwargs)
+                rows = [(c.clause.mask, c.clause.values, c.coverage, c.delta_rho) for c in cands]
+                seen.append((rows, result.chosen_indices))
+                return table, cands, result
+
+            monkeypatch.setattr(engine, "optimal_rule", record)
+            rep = mis_branch(PIN_GRAPHS[kind](seed), SolveConfig(measure=Measure(measure)))
+            monkeypatch.undo()
+            got = (len(seen), sum(len(rows) for rows, _ in seen), rep.branch_count,
+                   hashlib.sha256(repr(seen).encode()).hexdigest())
+            assert got == want, (kind, seed, measure)
 
 
 class TestIsValidRule:
