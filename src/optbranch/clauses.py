@@ -21,7 +21,7 @@ from string import ascii_lowercase
 import numpy as np
 
 from .errors import InternalError
-from .graph import Measure, Region, bits, neighbors_k
+from .graph import Measure, Region, bit_matrix, bits, neighbors_k
 from .table import BranchingTable
 
 
@@ -75,14 +75,6 @@ def intersection(a: Clause, b: Clause) -> Clause | None:
     if mask == 0:
         return None
     return Clause(a.width, mask, a.values & mask)
-
-
-def _unpack(masks, nbits: int) -> np.ndarray:
-    """0/1 rows of uint8 with bit j of ``masks[i]`` at ``[i, j]``; the masks
-    are Python ints below ``2**nbits``."""
-    nbytes = (nbits + 7) // 8
-    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in masks), np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=nbits, bitorder="little")
 
 
 def _pack_rows(matrix: np.ndarray) -> list[int]:
@@ -165,9 +157,9 @@ def delta_rho(masks, values, r: Region, m: Measure) -> list[int]:
     near = neighbors_k(host, r.vertices, 2, closed=True)
     low = (near & -near).bit_length() - 1
     span = near.bit_length() - low
-    offsets = np.flatnonzero(_unpack([near >> low], span)[0])
+    offsets = np.flatnonzero(bit_matrix([near >> low], span)[0])
     ids = (offsets + low).tolist()
-    adj_h = _unpack([(adj[v] & near) >> low for v in ids], span)[:, offsets].astype(np.int32)
+    adj_h = bit_matrix([(adj[v] & near) >> low for v in ids], span)[:, offsets].astype(np.int32)
     local = np.searchsorted(offsets, np.array(r.local_order) - low)
     ident = np.eye(len(ids), dtype=np.int32)[local]
     masks = np.asarray(masks, dtype=np.uint32)

@@ -12,7 +12,7 @@ import time
 from .bench import BenchSpec, run_bench, write_csv
 from .clauses import render_clause, render_dnf
 from .engine import SolveConfig, mis_branch
-from .errors import CapacityError, InputError, OptBranchError
+from .errors import CapacityError, InfeasibleError, InputError, OptBranchError
 from .graph import Measure, bits, region_of
 from .io import MAX_VERTICES, parse_graph
 from .optimize import SolverKind, optimal_rule
@@ -153,9 +153,16 @@ def _cmd_discover(args) -> int:
     region = region_of(graph, vertices, boundary)
     measure = _MEASURES[args.measure]
     solver = SolverKind.LP_RELAXED if args.lp else SolverKind.EXACT
-    table, cands, result = optimal_rule(
-        region, measure, solver, env_pruning=args.env_pruning, seed=args.seed,
-    )
+    try:
+        table, cands, result = optimal_rule(
+            region, measure, solver, env_pruning=args.env_pruning, seed=args.seed,
+        )
+    except InfeasibleError as exc:
+        # an input property, not a bug: the search itself never meets it, as
+        # its kernels have minimum degree 3
+        name = measure.name.lower().replace("_", " ")
+        raise InputError(f"no branching rule on this region reduces the {name} "
+                         f"(--measure {args.measure}): {exc}") from exc
     width = table.width
     print(f"branching table ({len(table)} rows, width {width}):")
     for key, alpha, row in zip(table.row_keys, table.row_alpha, table.rows):

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all optbranch modules.
 
-The CLI maps these onto exit codes: bad user input and a region above the
-enumeration limit exit with 2, everything else (internal invariants) exits
-with 1.
+The CLI maps these onto exit codes: bad user input, a region above the
+enumeration limit and a ``discover`` region with no rule that lowers the
+measure exit with 2, everything else (internal invariants) exits with 1.
 """
 
 

@@ -8,8 +8,9 @@ search, and a fold vertex takes a fresh id at or above its parent's ``n``.
 Vertex sets are plain Python ints used as bitmasks (bit v set means vertex v
 is a member), which keeps neighborhood and boundary arithmetic at O(n/64)
 per operation; the helpers :func:`as_mask` and :func:`bits` convert between
-masks and iterables.  Graphs never mutate, so derived graphs can be shared
-freely across search branches.
+masks and iterables, and :func:`bit_matrix` lays masks out as 0/1 rows.
+Graphs never mutate, so derived graphs can be shared freely across search
+branches.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InputError
 
@@ -47,6 +50,14 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_matrix(masks, nbits: int) -> np.ndarray:
+    """0/1 rows of uint8 with bit j of ``masks[i]`` at ``[i, j]``; the masks
+    are Python ints below ``2**nbits``."""
+    nbytes = (nbits + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in masks), np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=nbits, bitorder="little")
 
 
 class Measure(Enum):

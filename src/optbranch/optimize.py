@@ -3,7 +3,8 @@
 The branching factor gamma of a rule with reductions (d_1..d_k) is the root
 of sum(gamma^-d_i) = 1.  Candidate clauses are selected through a fixed point
 alternation: solve the covering instance whose weights are gamma^-d_i, then
-re-solve gamma from the chosen vector, until gamma stops decreasing.  With
+re-solve gamma from the chosen vector, until gamma stops decreasing or the
+chosen rule is a single clause (gamma 1, which no rule beats).  With
 the exact cover solver the fixed point is the global optimum; the tests
 cross-check it with a bisection on "does a cover of weight at most one
 exist".
@@ -84,43 +85,42 @@ def minimize_gamma(
     Each round solves the covering instance at the current gamma and re-roots
     gamma from the chosen branching vector; rounds strictly decrease gamma
     until the fixed point, which the exact solver reaches at the provably
-    minimal gamma.  The relaxed solver may wobble, so its best round wins.
-    Candidates that cannot cover every row raise ``InfeasibleError`` from the
-    solver's feasibility check.
+    minimal gamma.  The loop also stops at the first rule of one clause: its
+    gamma is 1, which no rule beats, so that round's clause is returned.
+    Each round's cover is solved afresh, and ties between equally cheap
+    covers follow ``solve_exact``'s one rule: the greedy cover wins.  The
+    relaxed solver may wobble, so its best round wins.  Candidates that
+    cannot cover every row raise ``InfeasibleError`` from the solver's
+    feasibility check.
     """
     if not candidates:
         raise InfeasibleError("no candidate clauses")
     sets = tuple(c.coverage for c in candidates)
     gamma_old = 2.0
     trail: list[float] = []
-    best: OptimalBranchingResult | None = None
-    previous = None
+    best = None
     for round_no in range(MAX_ROUNDS):
         weights = tuple(gamma_old ** -float(c.delta_rho) for c in candidates)
         inst = WmscInstance(universe_size, sets, weights)
         if solver is SolverKind.EXACT:
-            sol = solve_exact(inst, hint=previous)
-            previous = sol.chosen
+            sol = solve_exact(inst)
         else:
             sol = solve_lp(inst, seed=(seed ^ (round_no * 0x9E3779B9)) & 0xFFFFFFFFFFFFFFFF)
         vector = tuple(candidates[i].delta_rho for i in sol.chosen)
         gamma_new = find_gamma(vector)
         trail.append(gamma_new)
-        result = OptimalBranchingResult(
-            rule=DNF(tuple(candidates[i].clause for i in sol.chosen)),
-            chosen_indices=sol.chosen,
-            branching_vector=vector,
-            gamma=gamma_new,
-            solver_kind=solver,
-            gamma_trail=tuple(trail),
-        )
-        if best is None or gamma_new < best.gamma:
-            best = result
-        if gamma_new >= gamma_old - GAMMA_TOL:
-            final = result if solver is SolverKind.EXACT else best
+        # the exact solver ends on its fixed point; the relaxed one keeps its best round
+        if solver is SolverKind.EXACT or best is None or gamma_new < best[0]:
+            best = (gamma_new, sol.chosen, vector)
+        if len(vector) == 1 or gamma_new >= gamma_old - GAMMA_TOL:
+            gamma, chosen, vector = best
             return OptimalBranchingResult(
-                final.rule, final.chosen_indices, final.branching_vector,
-                final.gamma, solver, tuple(trail),
+                rule=DNF(tuple(candidates[i].clause for i in chosen)),
+                chosen_indices=chosen,
+                branching_vector=vector,
+                gamma=gamma,
+                solver_kind=solver,
+                gamma_trail=tuple(trail),
             )
         gamma_old = gamma_new
     raise InternalError("gamma fixed point did not converge within 64 rounds")

@@ -14,10 +14,12 @@ gap is negligible.  HiGHS first solves the LP relaxation, a lower bound on
 every cover.  When that bound reaches the incumbent, the incumbent is
 optimal; when the LP solution is integral, it is an optimal cover itself;
 only a fractional relaxation runs the mixed-integer program.  Throughout,
-only a strictly cheaper cover replaces the incumbent, so ties go to the
-greedy cover (or to a cheaper hint).  ``solve_lp`` solves the same HiGHS
-relaxation and rounds it with seeded inclusion trials, each completed by the
-same greedy cover and stripped of redundant sets by per-element cover counts.
+only a strictly cheaper cover replaces the incumbent, so every path breaks
+ties the same way: the greedy cover wins whenever it is optimal.  Each call
+stands alone; no cover carries over from an earlier one.  ``solve_lp``
+solves the same HiGHS relaxation and rounds it with seeded inclusion trials,
+each completed by the same greedy cover and stripped of redundant sets by
+per-element cover counts.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError, InternalError
-from .graph import bits
+from .graph import bit_matrix, bits
 
 PRUNE_TOL = 1e-12
 
@@ -209,15 +211,6 @@ def _bnb_python(covs, weights, universe_size, y, incumbent):
     return best_sol
 
 
-def _cover_matrix(covs, universe_size):
-    """Element-by-set 0/1 matrix of the covering constraints, from bitmasks."""
-    width = (universe_size + 7) // 8
-    packed = np.frombuffer(
-        b"".join(cov.to_bytes(width, "little") for cov in covs), dtype=np.uint8
-    ).reshape(len(covs), width)
-    return np.unpackbits(packed, axis=1, count=universe_size, bitorder="little").T
-
-
 def _cover_relaxation(matrix, cost):
     """LP relaxation min cost.x, matrix x >= 1, 0 <= x <= 1, solved by HiGHS.
 
@@ -269,7 +262,7 @@ def _mip_cover(covs, weights, universe_size, incumbent):
         return list(best_sol)
 
     lift = 2.0 ** (MIP_LIFT_EXP - math.frexp(best_obj)[1])
-    matrix = _cover_matrix([covs[j] for j in keep], universe_size)
+    matrix = bit_matrix([covs[j] for j in keep], universe_size).T
     cost = np.array([weights[j] for j in keep]) * lift
     cutoff = best_obj * lift - MIP_ABS_GAP
     x, lp_obj = _cover_relaxation(matrix, cost)
@@ -306,7 +299,7 @@ def _anchor_scale(weights, covering):
     return 2.0 ** -math.frexp(low)[1], low
 
 
-def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
+def solve_exact(inst: WmscInstance) -> WmscSolution:
     """Minimum-weight cover; deterministic, exact within the stated tolerances.
 
     Sets with equal coverage collapse to their cheapest representative.  The
@@ -316,12 +309,8 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     the sets lighter than the incumbent, with weights lifted by an exact
     power of two: the LP relaxation first, and the MIP only when the
     relaxation is fractional (see ``_mip_cover``).  Only a strictly cheaper
-    cover replaces the incumbent, so ties keep the greedy cover whenever it
-    is optimal.  ``hint`` may carry a known-feasible choice of original set
-    indices (for example last round's cover during the gamma fixed point);
-    it seeds the incumbent when strictly cheaper than greedy.  It never
-    changes the optimal objective, but it can decide which of several tied
-    optima is returned, and so the rule the search branches on.
+    cover replaces the incumbent, so of several tied optima the greedy cover
+    wins whenever it is one of them: the one tie rule of every path.
     """
     inst.check_feasible()
     universe = inst.universe_size
@@ -334,16 +323,6 @@ def solve_exact(inst: WmscInstance, hint=None) -> WmscSolution:
     greedy_sol, greedy_obj = _greedy_cover(covs, work_w, full)
     y = _dual_ascent(covs, work_w, universe, covering)
     incumbent = (greedy_obj, greedy_sol)
-    if hint:
-        rep_of = {cov: i for i, cov in enumerate(covs)}
-        picked = [rep_of[inst.sets[idx]] for idx in hint]
-        got = 0
-        for rep in picked:
-            got |= covs[rep]
-        if got == full:
-            hint_obj = sum(work_w[i] for i in picked)
-            if hint_obj < incumbent[0] - PRUNE_TOL:
-                incumbent = (hint_obj, picked)
     if greedy_obj <= sum(y) + PRUNE_TOL:
         chosen = greedy_sol
     elif len(covs) <= SMALL_SET_LIMIT:
@@ -398,7 +377,7 @@ def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
     keep = [indices[i] for i, w in enumerate(weights) if w <= universe * low]
     x = np.zeros(len(inst.sets))
     x[keep], lp_obj = _cover_relaxation(
-        _cover_matrix([inst.sets[i] for i in keep], universe),
+        bit_matrix([inst.sets[i] for i in keep], universe).T,
         np.array([scaled[i] for i in keep]),
     )
     full = inst.full_mask()

@@ -261,9 +261,10 @@ REGION_PINS = {
 
 # sha256 of repr([(candidate rows as above, chosen indices), ...]) over every
 # synthesis of one mis_branch solve, with its syntheses, candidates and
-# branches; recorded as REGION_PINS
+# branches; recorded as REGION_PINS, except the 3reg60/0/vc and kings400
+# entries, re-recorded when the gamma loop stopped at its first one-clause rule
 SEARCH_PINS = {
-    ("3reg60", 0, "vc"): (6, 460, 11, "16b0d8bd5043287fd4ded02172d91a920570e730fea1d2d26cc35b00a4cc4fe3"),
+    ("3reg60", 0, "vc"): (7, 464, 11, "479db407de13daf6f50b3e80af5c2ab805f51dc392ed2a38e6ff64da398a7a7a"),
     ("3reg60", 0, "ed"): (9, 508, 11, "554d4f1bad8f787c79618211c44a0003218cd02fcb8beb3a100be10f62b3f247"),
     ("3reg60", 1, "vc"): (8, 308, 12, "26961dff0b96533ef52fd200f564e0db7575f446ab8b0169d94f77995159a4b6"),
     ("3reg60", 1, "ed"): (10, 478, 17, "ac326b05873eb65189050371f7c08cb45a6a16ac2f417207f394476bf2579913"),
@@ -275,8 +276,8 @@ SEARCH_PINS = {
     ("3reg60", 4, "ed"): (9, 307, 10, "835eead2f991d44815de1c3ce436da2135eb13fe64fc89dffbca31974e9df7c0"),
     ("3reg60", 5, "vc"): (8, 469, 15, "8034cf68aff2c565fca1fdae21dc5f30e9a9d5b7dbf40ebd2693b058f47d8b18"),
     ("3reg60", 5, "ed"): (12, 770, 18, "b930ccdc8c2d15773154a4b43576145e8ab57ced037bbf198c18eaff06e16f71"),
-    ("kings400", 4, "vc"): (101, 2398, 8, "fb4a68841f9cf3ba3d9302f9ea57238cd38f5fc0d791f7a2d0e1bf1d6bd1a2d2"),
-    ("kings400", 4, "ed"): (156, 3392, 27, "ca827dd217392a421ba223c07d6d769abaa62e56f78877b7b388f2c2adc60c9f"),
+    ("kings400", 4, "vc"): (101, 2398, 8, "c5170cebfcbddd4d55d94c2b83b37905eb3ac92347c5ca521fc472dd9386a8f1"),
+    ("kings400", 4, "ed"): (151, 3337, 27, "1ef7cba587c9b5243fd5854b36bc65ba933dcbe19e7c8a5a3c308d36f1367ea6"),
 }
 
 PIN_GRAPHS = {

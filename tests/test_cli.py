@@ -77,6 +77,16 @@ class TestDiscover:
         assert main(["discover", str(host), "--region", region]) == 2
         assert "above the enumeration limit 26" in capsys.readouterr().err
 
+    def test_region_with_no_reducing_clause_exits_two(self, tmp_path, capsys):
+        # every vertex of a path has degree at most 2, so no clause lowers
+        # the effective degree; the vertex count still has a rule
+        path = tmp_path / "path5.edgelist"
+        path.write_text("1 2\n2 3\n3 4\n4 5\n")
+        assert main(["discover", str(path), "--region", "1,2,3", "--measure", "ed"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "effective degree" in err
+        assert main(["discover", str(path), "--region", "1,2,3", "--measure", "vc"]) == 0
+
 
 class TestBench:
     def test_small_run_writes_csv(self, files, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optbranch import InfeasibleError, InputError
+from optbranch import InfeasibleError, InputError, optimize
 from optbranch.clauses import CandidateClause, Clause, build_candidates, render_clause
 from optbranch.graph import Graph, Measure, region_of
 from optbranch.optimize import SolverKind, find_gamma, minimize_gamma, optimal_rule
@@ -89,6 +89,29 @@ class TestMinimizeGamma:
         cands = [CandidateClause(Clause(2, 0b11, 0b00), 0b01, 2)]
         with pytest.raises(InfeasibleError):
             minimize_gamma(cands, 2)
+
+    def test_stops_at_first_single_clause(self, monkeypatch):
+        # at gamma 2 the cover is the full clause of drho 5 alone; a second
+        # round at gamma 1 would weigh every clause 1 and take index 0 instead
+        cands = [
+            CandidateClause(Clause(2, 0b01, 0b00), 0b11, 2),
+            CandidateClause(Clause(2, 0b11, 0b00), 0b11, 5),
+            CandidateClause(Clause(2, 0b11, 0b01), 0b01, 5),
+            CandidateClause(Clause(2, 0b11, 0b10), 0b10, 5),
+        ]
+        calls = []
+        solve_exact = optimize.solve_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_exact(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "solve_exact", counted)
+        res = minimize_gamma(cands, 2)
+        assert res.chosen_indices == (1,)
+        assert res.branching_vector == (5,)
+        assert res.gamma_trail == (1.0,)
+        assert len(calls) == len(res.gamma_trail)
 
     def test_trail_strictly_decreasing(self):
         rng = np.random.default_rng(61)

@@ -84,6 +84,10 @@ ODD_CYCLE = (0b011, 0b110, 0b101)
 # greedy takes {0,1,2,3} first (1/4 per element) and then still needs the
 # other two sets, which alone cover all six elements: the LP is integral
 GREEDY_TRAP = (0b001111, 0b010011, 0b101100)
+# both sets are needed, so greedy is optimal and the LP is tight; padded, the
+# shared element 2 has the fewest covering sets, so the dual ascent raises it
+# first and stops one short of the optimum
+OVERLAP = (0b0111, 0b1100)
 
 
 def record_exits(monkeypatch):
@@ -184,14 +188,6 @@ class TestSolveExact:
         with pytest.raises(InputError):
             WmscInstance(2, (0b11,), (0.0,))
 
-    def test_hint_never_worsens(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            inst = random_instance(rng)
-            base = solve_exact(inst)
-            hinted = solve_exact(inst, hint=base.chosen)
-            assert abs(hinted.objective - base.objective) <= 1e-12
-
 
 class TestWidePath:
     """The LP-first exits of ``_mip_cover``, each checked against the DP oracle."""
@@ -199,19 +195,16 @@ class TestWidePath:
     def test_each_exit_matches_dp_oracle(self, monkeypatch):
         exits = record_exits(monkeypatch)
         rng = np.random.default_rng(1729)
-        trap = padded_instance(rng, GREEDY_TRAP)
-        cycle = padded_instance(rng, ODD_CYCLE)
-        _, trap_optimum = oracle_set_cover_dp(trap.universe_size, trap.sets, trap.weights)
         cases = [
-            (trap, None, "b"),           # integral LP beats the greedy incumbent
-            (trap, trap_optimum, "a"),   # the LP bound certifies an optimal hint
-            (cycle, None, "c"),          # fractional LP: the MIP decides
+            (padded_instance(rng, GREEDY_TRAP), "b"),  # integral LP beats the greedy incumbent
+            (padded_instance(rng, ODD_CYCLE), "c"),    # fractional LP: the MIP decides
+            (padded_instance(rng, OVERLAP), "a"),      # the LP bound certifies the greedy cover
         ]
-        for inst, hint, want_exit in cases:
+        for inst, want_exit in cases:
             assert len(set(inst.sets)) > SMALL_SET_LIMIT
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
             exits.clear()
-            sol = solve_exact(inst, hint=hint)
+            sol = solve_exact(inst)
             assert exits == [want_exit]
             assert sol.covers(inst)
             assert math.isclose(sol.objective, want, rel_tol=1e-9)
