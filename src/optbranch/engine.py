@@ -1,37 +1,30 @@
 """Recursive branch-and-reduce MIS solver with on-the-fly rule synthesis.
 
-Each call reduces degree <= 2 vertices to a fixed point (taking pendants,
-folding degree-2 paths), splits the irreducible kernel into connected
-components, picks the second-order neighborhood with the fewest boundary
-vertices, synthesizes the optimal branching rule for it, and recurses on one
-subproblem per clause.  Rules with a single clause are reductions and do not
-count as branches; a rule with k >= 2 clauses adds k to the branch counter.
+Each call reduces the graph to a fixed point (taking pendants, folding
+degree-2 paths, deleting a vertex v whose neighbour u has N[u] a subset of
+N[v]), splits the irreducible kernel into connected components, picks the
+second-order neighborhood with the fewest boundary vertices, synthesizes the
+optimal branching rule for it, and recurses on one subproblem per clause.
+Rules with a single clause are reductions and do not count as branches; a
+rule with k >= 2 clauses adds k to the branch counter.
 
 Every graph of the search keeps its parent's vertex ids, and fold vertices
 take fresh ids above every id in use, so ids never renumber and no index
-map is threaded through the recursion: region keys, ``changed`` masks and
-witnesses all speak the input's ids (plus fold ids).  Per-node work follows
-what changed at the node, not the size of the graph.  Every vertex's region
-key (boundary count, region size) is carried from the parent to each child
-in a list indexed by id; a key is recomputed only for vertices within
-``selection_radius`` of a vertex whose adjacency changed (a lost neighbour,
-a fold, or a fresh fold vertex), and entries of dead ids are never read.
-Fold vertices sort after every survivor, as a renumbering would place them,
-so the argmin over (boundary, size, id) picks the same region as a
-from-scratch scan.  A kernel that is one component is used as it is, and a
-graph with no vertex of degree <= 2 is its own kernel, so neither is
-copied.
+map is threaded through the recursion: witnesses speak the input's ids
+(plus fold ids).  A kernel that is one component is used as it is, and a
+graph with no vertex of degree <= 2 and no dominated vertex is its own
+kernel, so neither is copied.
 
 Everything is single-threaded and deterministic: identical (graph, config)
 inputs produce identical reports, including branch counts and witnesses.
 The ``optbranch.engine`` logger (enabled from the CLI by ``OPTBRANCH_LOG``)
 gets one ``debug`` line per synthesized node and one ``info`` summary per
-``mis_branch`` call.
+``mis_branch`` call, with the takes, folds and dominated deletions of every
+reduction in the search.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import sys
 import time
@@ -40,7 +33,7 @@ from dataclasses import dataclass, field
 
 from . import _kernels
 from .errors import InputError, InternalError
-from .graph import Graph, Measure, Region, bits, induced_delete, neighbors_k, region_of
+from .graph import Graph, Measure, Region, bits, induced_delete, region_of
 from .optimize import SolverKind, optimal_rule
 
 log = logging.getLogger(__name__)
@@ -74,17 +67,17 @@ class SolveReport:
 
 @dataclass
 class Reduction:
-    """Outcome of running the degree <= 2 rewrites to a fixed point.
+    """Outcome of running the reductions to a fixed point.
 
     The kernel keeps the input's ids; its ids at or above the input's n are
-    fold vertices.  ``changed`` masks the kernel vertices whose adjacency
-    differs from the input's, fold vertices included.
+    fold vertices.  ``dominated`` lists the deleted dominating vertices,
+    which neither the offset nor a witness needs.
     """
 
     graph: Graph
     takes: list[int]
     folds: list[tuple[int, int, int, int]]
-    changed: int = 0
+    dominated: list[int]
 
     @property
     def offset(self) -> int:
@@ -106,38 +99,63 @@ class Reduction:
         return chosen
 
 
+def _dominator(adj: dict[int, int], u: int):
+    """The smallest neighbour v of u with N[u] a subset of N[v], or None:
+    the smallest v in N(u) that lies in N[x] for every x in N(u)."""
+    common = rest = adj[u]
+    while common and rest:
+        low = rest & -rest
+        common &= adj[low.bit_length() - 1] | low
+        rest ^= low
+    return (common & -common).bit_length() - 1 if common else None
+
+
 def reduce_fixpoint(g: Graph) -> Reduction:
-    """Remove degree-0/1 vertices and fold degree-2 vertices until stable.
+    """Remove degree-0/1 vertices, fold degree-2 vertices and delete
+    dominating vertices until stable.
 
     Folding a degree-2 vertex v with non-adjacent neighbors u, w contracts
     {u, v, w} into one fresh vertex adjacent to N({u, w}) minus the triple;
     alpha grows by one either way, and the fold record carries enough to
-    rebuild a witness.  Vertices are processed smallest-id first.  A graph
-    with no vertex of degree <= 2 is returned as its own kernel, uncopied.
+    rebuild a witness.  Once no degree rule applies, the smallest queued u
+    with a neighbour v such that N[u] is a subset of N[v] loses its smallest
+    such v: some MIS avoids v, so no record is needed.  u is queued whenever
+    N[u] changes, which suffices, as the one vertex a neighbourhood can gain
+    is a fold vertex.  Each rule takes the smallest id first.  A graph with
+    no vertex of degree <= 2 and no dominated vertex is returned uncopied.
     """
-    if min(map(int.bit_count, g.adj_mask.values()), default=0) > 2:
-        return Reduction(g, [], [])
+    if (min(map(int.bit_count, g.adj_mask.values()), default=0) > 2
+            and not any(_dominator(g.adj_mask, u) is not None for u in g.adj_mask)):
+        return Reduction(g, [], [], [])
     adj = dict(g.adj_mask)
-    heap = [v for v, row in adj.items() if row.bit_count() <= 2]
-    heapq.heapify(heap)
+    low_degree = sum(1 << v for v, row in adj.items() if row.bit_count() <= 2)
+    work = g.vertices  # domination candidates
     takes: list[int] = []
     folds: list[tuple[int, int, int, int]] = []
+    dominated: list[int] = []
     live = g.vertices
     next_id = g.n
-    touched = 0  # vertices whose neighbourhood was rewritten
 
     def remove(v):
-        nonlocal touched, live
+        nonlocal live, low_degree, work
         row = adj.pop(v)
-        touched |= row
         live &= ~(1 << v)
+        work |= row
         for u in bits(row):
             adj[u] &= ~(1 << v)
             if adj[u].bit_count() <= 2:
-                heapq.heappush(heap, u)
+                low_degree |= 1 << u
 
-    while heap:
-        v = heapq.heappop(heap)
+    while low_degree or work:
+        if not low_degree:
+            u = (work & -work).bit_length() - 1
+            work &= work - 1
+            if u in adj and (v := _dominator(adj, u)) is not None:
+                dominated.append(v)
+                remove(v)
+            continue
+        v = (low_degree & -low_degree).bit_length() - 1
+        low_degree &= low_degree - 1
         if v not in adj or adj[v].bit_count() > 2:
             continue
         row = adj[v]
@@ -158,16 +176,16 @@ def reduce_fixpoint(g: Graph) -> Reduction:
                     adj[y] &= ~(1 << x)
             adj[z] = merged
             live = (live & ~triple) | 1 << z
-            touched |= merged | 1 << z
+            work |= merged | 1 << z
             for y in bits(merged):
                 adj[y] |= 1 << z
                 if adj[y].bit_count() <= 2:
-                    heapq.heappush(heap, y)
+                    low_degree |= 1 << y
             if merged.bit_count() <= 2:
-                heapq.heappush(heap, z)
+                low_degree |= 1 << z
             folds.append((z, v, u, w))
 
-    return Reduction(Graph._derived(next_id, adj, live), takes, folds, touched & live)
+    return Reduction(Graph._derived(next_id, adj, live), takes, folds, dominated)
 
 
 def components(g: Graph) -> list[int]:
@@ -210,33 +228,18 @@ def _region(adj_mask, v: int, radius: int, limit: int) -> tuple[int, int]:
     return mask, boundary
 
 
-def select_subgraph(g: Graph, cfg: SolveConfig, keys: list | None = None,
-                    changed: int = 0) -> Region:
+def select_subgraph(g: Graph, cfg: SolveConfig) -> Region:
     """Pick the branching region: the radius-``selection_radius`` closed
     neighborhood with the fewest boundary vertices, shrunk toward N[v] and
     finally {v} whenever it would exceed the enumeration limit.  Ties prefer
-    fewer vertices, then the smallest anchor id.
-
-    ``keys``, when given, is indexed by vertex id and holds each live
-    vertex's (boundary count, region size) carried from an ancestor graph
-    (None where unknown); it is refreshed in place: only vertices within
-    ``selection_radius`` of ``changed``, the mask of vertices whose adjacency
-    differs from that ancestor's, are recomputed.  Entries of ids that are
-    not live are never read.  Without ``keys`` every vertex is computed
-    afresh."""
+    fewer vertices, then the smallest anchor id."""
     if not g.vertices:
         raise InputError("cannot select a region in an empty graph")
-    radius, limit, adj_mask = cfg.selection_radius, cfg.enumeration_limit, g.adj_mask
-    if keys is None:
-        keys = [None] * g.n
-        stale = g.vertices
-    else:
-        stale = neighbors_k(g, changed, radius, closed=True) if changed else 0
-    for v in bits(stale):
-        mask, boundary = _region(adj_mask, v, radius, limit)
-        keys[v] = (boundary, mask.bit_count())
-    best = min(adj_mask, key=keys.__getitem__)
-    return region_of(g, _region(adj_mask, best, radius, limit)[0])
+    adj_mask = g.adj_mask
+    regions = {v: _region(adj_mask, v, cfg.selection_radius, cfg.enumeration_limit)
+               for v in adj_mask}
+    best = min(regions, key=lambda v: (regions[v][1], regions[v][0].bit_count()))
+    return region_of(g, regions[best][0])
 
 
 def _certify(g: Graph, witness, mis_size: int) -> None:
@@ -268,32 +271,28 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 12 * g.n + 10000))
     nodes = branches = max_depth = 0
     stats: Counter = Counter()
+    reductions: Counter = Counter()
     started = time.perf_counter()
 
-    def solve(graph: Graph, depth: int, keys: list, changed: int):
-        """MIS size and witness of ``graph``.  ``keys`` are the region keys
-        of ``graph``'s vertices as of an ancestor graph, indexed by id;
-        ``changed`` masks the vertices whose adjacency differs from that
-        ancestor's."""
+    def solve(graph: Graph, depth: int):
+        """MIS size and witness of ``graph``."""
         nonlocal nodes, branches, max_depth
         max_depth = max(max_depth, depth)
         red = reduce_fixpoint(graph)
+        reductions.update(takes=len(red.takes), folds=len(red.folds),
+                          dominated=len(red.dominated))
         kernel = red.graph
         if not kernel.vertices:
             return red.offset, red.resolve(())
-        if kernel is not graph:
-            keys.extend([None] * (kernel.n - len(keys)))
-            changed = red.changed | (changed & kernel.vertices)
         total = red.offset
         kernel_witness: set[int] = set()
         parts = components(kernel)
         for comp_mask in parts:
             if len(parts) == 1:
-                comp, comp_changed = kernel, changed
+                comp = kernel
             else:
                 comp = induced_delete(kernel, kernel.vertices & ~comp_mask)
-                comp_changed = changed & comp_mask
-            region = select_subgraph(comp, cfg, keys, comp_changed)
+            region = select_subgraph(comp, cfg)
             if region.boundary == 0:
                 size, chosen = _component_lookup(region)
                 total += size
@@ -324,8 +323,7 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
                 in_set = region.to_host_mask(clause.true_mask)
                 removed = region.to_host_mask(clause.mask) | comp.neighbors_mask(in_set)
                 child = induced_delete(comp, removed)
-                sub_size, sub_witness = solve(
-                    child, depth + 1, list(keys), comp.neighbors_mask(removed))
+                sub_size, sub_witness = solve(child, depth + 1)
                 size = sub_size + in_set.bit_count()
                 if size > best_size:
                     best_size = size
@@ -335,10 +333,11 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
             kernel_witness.update(best_witness)
         return total, red.resolve(kernel_witness)
 
-    size, witness = solve(g, 0, [None] * g.n, g.vertices)
+    size, witness = solve(g, 0)
     witness = frozenset(witness)
     _certify(g, witness, size)
-    log.info("mis_branch: n=%d m=%d mis_size=%d branches=%d nodes=%d max_depth=%d time=%.3fs",
-             len(g.adj_mask), g.m, size, branches, nodes, max_depth,
-             time.perf_counter() - started)
+    log.info("mis_branch: n=%d m=%d mis_size=%d branches=%d nodes=%d max_depth=%d "
+             "takes=%d folds=%d dominated=%d time=%.3fs",
+             len(g.adj_mask), g.m, size, branches, nodes, max_depth, reductions["takes"],
+             reductions["folds"], reductions["dominated"], time.perf_counter() - started)
     return SolveReport(size, witness, branches, max_depth, nodes, dict(stats))

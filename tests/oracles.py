@@ -16,9 +16,9 @@ from optbranch.graph import Measure, bits
 from optbranch.setcover import WmscInstance, solve_exact
 
 
-def oracle_mis(g):
-    """Independence number by memoized branch recursion over vertex masks."""
-    adj = g.adj_mask
+def _alpha(adj):
+    """The function from a vertex mask to the independence number of the
+    subgraph that the rows ``adj`` induce on it, by memoized branching."""
     memo = {}
 
     def alpha(mask):
@@ -41,7 +41,29 @@ def oracle_mis(g):
         memo[mask] = result
         return result
 
-    return alpha(g.full_mask())
+    return alpha
+
+
+def oracle_mis(g):
+    """Independence number of ``g``."""
+    return _alpha(g.adj_mask)(g.vertices)
+
+
+def oracle_mis_set(g):
+    """One maximum independent set of ``g``: each vertex, smallest id first,
+    is taken whenever the vertices left after it still reach alpha."""
+    adj = g.adj_mask
+    alpha = _alpha(adj)
+    chosen, rest = set(), g.vertices
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        without = rest & ~(adj[v] | 1 << v)
+        if 1 + alpha(without) == alpha(rest):
+            chosen.add(v)
+            rest = without
+        else:
+            rest &= ~(1 << v)
+    return chosen
 
 
 def oracle_config_scan(width, adj_masks, boundary_positions):

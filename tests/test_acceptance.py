@@ -1,8 +1,8 @@
 """Acceptance suite: each test exercises one shipped criterion end to end and
 prints a PASS line with the measured numbers (run with -s to watch them).
 
-Timings assert the stated budgets; the session-wide kernel warmup fixture
-keeps jit compilation out of the measurements.
+Timings assert the stated budgets.  The kernels are plain numpy, so nothing
+is compiled or warmed up first: a timed test pays for its own first calls.
 """
 
 import time

@@ -262,22 +262,24 @@ REGION_PINS = {
 # sha256 of repr([(candidate rows as above, chosen indices), ...]) over every
 # synthesis of one mis_branch solve, with its syntheses, candidates and
 # branches; recorded as REGION_PINS, except the 3reg60/0/vc and kings400
-# entries, re-recorded when the gamma loop stopped at its first one-clause rule
+# entries, re-recorded when the gamma loop stopped at its first one-clause
+# rule, and the 3reg60 0, 2/vc, 3, 5/vc and kings400 entries, re-recorded
+# when reduce_fixpoint began deleting dominating vertices
 SEARCH_PINS = {
-    ("3reg60", 0, "vc"): (7, 464, 11, "479db407de13daf6f50b3e80af5c2ab805f51dc392ed2a38e6ff64da398a7a7a"),
-    ("3reg60", 0, "ed"): (9, 508, 11, "554d4f1bad8f787c79618211c44a0003218cd02fcb8beb3a100be10f62b3f247"),
+    ("3reg60", 0, "vc"): (6, 461, 11, "5541a2d4d4e8d21193d91dbe218abac90e84eaa6c74c42039b93a8f5bdd2bb61"),
+    ("3reg60", 0, "ed"): (6, 489, 11, "6b35ce2d4745fab497164597845aa4cc402d71efa759738cc2530ffae25b3d11"),
     ("3reg60", 1, "vc"): (8, 308, 12, "26961dff0b96533ef52fd200f564e0db7575f446ab8b0169d94f77995159a4b6"),
     ("3reg60", 1, "ed"): (10, 478, 17, "ac326b05873eb65189050371f7c08cb45a6a16ac2f417207f394476bf2579913"),
-    ("3reg60", 2, "vc"): (7, 163, 14, "8a605bc789b1c81caf73d5469585234ffc1efc5ec0724e5f5b427b5cb2cc26b6"),
+    ("3reg60", 2, "vc"): (7, 163, 14, "b0a62d13af6e8a4af2e46793b0260c6bf147fc48e755680e038943577018f10f"),
     ("3reg60", 2, "ed"): (6, 176, 11, "1900e06affbe5620a666e1507706392f1ddae0c3194f822dcf041d5f458f478e"),
-    ("3reg60", 3, "vc"): (10, 397, 16, "09a86db2d2e43e45b443d58d89b0fa1a13ab6ef34461bd1f1983018595e6bd69"),
-    ("3reg60", 3, "ed"): (10, 414, 16, "500be085a2b1b2b4d9d423d9f232d83cfc0597fcde2a5c486d2954c9de2f66ce"),
+    ("3reg60", 3, "vc"): (9, 396, 16, "bc605271fdb474c51616550f4fd3e570187d996d8e6ccaecb759ad088a9d4621"),
+    ("3reg60", 3, "ed"): (8, 384, 14, "6b284cf762c8a2ee3fcf35ac01c0c46fdab80ccaf28a7f373fdd643ce630e277"),
     ("3reg60", 4, "vc"): (8, 325, 12, "5c79fd14053de546b6c421ab935e8541f35307216723b02ff8295d8d7c74b75a"),
     ("3reg60", 4, "ed"): (9, 307, 10, "835eead2f991d44815de1c3ce436da2135eb13fe64fc89dffbca31974e9df7c0"),
-    ("3reg60", 5, "vc"): (8, 469, 15, "8034cf68aff2c565fca1fdae21dc5f30e9a9d5b7dbf40ebd2693b058f47d8b18"),
+    ("3reg60", 5, "vc"): (7, 415, 15, "31c8e8a0ceea92067956b183ed94e45c33dc11565832c9ccece373d23de2fda7"),
     ("3reg60", 5, "ed"): (12, 770, 18, "b930ccdc8c2d15773154a4b43576145e8ab57ced037bbf198c18eaff06e16f71"),
-    ("kings400", 4, "vc"): (101, 2398, 8, "c5170cebfcbddd4d55d94c2b83b37905eb3ac92347c5ca521fc472dd9386a8f1"),
-    ("kings400", 4, "ed"): (151, 3337, 27, "1ef7cba587c9b5243fd5854b36bc65ba933dcbe19e7c8a5a3c308d36f1367ea6"),
+    ("kings400", 4, "vc"): (6, 60, 0, "d80434a3987fdef12b0dfd8d0fa80fa681a73c7acb28313a053ada4adc3eae1f"),
+    ("kings400", 4, "ed"): (6, 60, 0, "ee63c5c7a04e98c6c463f79d5d85498c944f2449554520a033359f0dd28053f1"),
 }
 
 PIN_GRAPHS = {

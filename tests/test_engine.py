@@ -10,10 +10,10 @@ from optbranch.engine import (
 )
 from optbranch.errors import InputError, InternalError
 from optbranch.generators import erdos_renyi, kings_subgraph, three_regular
-from optbranch.graph import Graph, bits, induced_delete, neighbors_k
+from optbranch.graph import Graph, bits, induced_delete
 from optbranch.optimize import SolverKind
 
-from oracles import oracle_mis
+from oracles import oracle_mis, oracle_mis_set
 from paper_cases import tutte_graph
 
 
@@ -56,10 +56,45 @@ class TestReduceFixpoint:
         assert red.graph == g and red.offset == 0
 
     def test_min_degree_three_is_its_own_kernel(self):
+        # no vertex of degree <= 2 and, triangle-free, no dominated vertex
         g = petersen()
         red = reduce_fixpoint(g)
-        assert red.graph is g and red.changed == 0
-        assert red.takes == [] and red.folds == [] and red.offset == 0
+        assert red.graph is g
+        assert red.takes == red.folds == red.dominated == [] and red.offset == 0
+
+    def test_dominator_deleted_at_minimum_degree_three(self):
+        # a wheel (hub 5 over the 5-cycle 0..4) beside a Petersen graph on
+        # 6..15: every rim vertex has degree 3 and N[rim] inside N[hub], so
+        # the hub goes, the 5-cycle folds away, and the Petersen graph stays
+        wheel = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
+        shifted = [(u + 6, v + 6) for u, v in petersen().edges()]
+        g = Graph(16, wheel + shifted)
+        red = reduce_fixpoint(g)
+        assert red.dominated == [5] and red.offset == 2
+        assert red.graph.adj_mask == {v + 6: row << 6 for v, row in petersen().adj_mask.items()}
+        witness = red.resolve(oracle_mis_set(red.graph))
+        assert g.is_independent(witness) and len(witness) == oracle_mis(g) == 6
+
+    def test_kernel_is_reduced_and_keeps_alpha(self):
+        rng = np.random.default_rng(127)
+        dominated = kernels = 0
+        for _ in range(150):
+            g = random_graph(rng, int(rng.integers(4, 24)), float(rng.uniform(0.1, 0.6)))
+            red = reduce_fixpoint(g)
+            kernel = red.graph
+            adj = kernel.adj_mask
+            assert min(map(int.bit_count, adj.values()), default=3) >= 3
+            for u, row in adj.items():
+                for v in bits(row):
+                    assert (row | 1 << u) & ~(adj[v] | 1 << v), (u, v)
+            alpha = oracle_mis(g)
+            assert red.offset + oracle_mis(kernel) == alpha
+            witness = red.resolve(oracle_mis_set(kernel))
+            assert g.is_independent(witness) and len(witness) == alpha
+            dominated += len(red.dominated)
+            kernels += bool(kernel.vertices)
+        # the rule fires, and some kernels are left to branch on
+        assert dominated >= 50 and kernels >= 30
 
     def test_kernel_matches_graph_from_edges(self):
         # same ids: the kernel's rows are those of Graph(kernel.n, its edges)
@@ -72,17 +107,6 @@ class TestReduceFixpoint:
             assert list(kernel.adj_mask) == list(bits(kernel.vertices))
             assert kernel.adj_mask == {v: want.adj_mask[v] for v in bits(kernel.vertices)}
             assert kernel.m == want.m
-
-    def test_changed_marks_rewritten_vertices(self):
-        rng = np.random.default_rng(67)
-        for _ in range(40):
-            g = random_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.3)))
-            red = reduce_fixpoint(g)
-            assert red.changed & ~red.graph.vertices == 0
-            for v, row in red.graph.adj_mask.items():
-                if not (red.changed >> v) & 1:
-                    # an unmarked survivor has exactly its input row
-                    assert v < g.n and row == g.adj_mask[v]
 
     def test_fold_ids_start_at_input_n(self):
         rng = np.random.default_rng(73)
@@ -140,51 +164,6 @@ class TestSelectSubgraph:
             select_subgraph(Graph(0, []), SolveConfig())
 
 
-class TestCarriedKeys:
-    """The engine carries region keys from parent to child; at every node
-    they must equal a from-scratch scan, and so must the chosen region."""
-
-    @staticmethod
-    def check_every_node(monkeypatch, graphs, configs):
-        real = engine.select_subgraph
-        reused = []
-
-        def checking(g, cfg, keys=None, changed=0):
-            stale = neighbors_k(g, changed, cfg.selection_radius, closed=True) if changed else 0
-            region = real(g, cfg, keys, changed)
-            assert real(g, cfg) == region
-            fresh = [None] * g.n
-            real(g, cfg, fresh, g.vertices)
-            # keys are indexed by id; only the live ids' entries are read
-            assert len(keys) == g.n
-            assert [keys[v] for v in g.adj_mask] == [fresh[v] for v in g.adj_mask]
-            # live ids whose carried key the engine kept (dead ids never count)
-            reused.append((g.vertices & ~stale).bit_count())
-            return region
-
-        monkeypatch.setattr(engine, "select_subgraph", checking)
-        for cfg in configs:
-            for g in graphs:
-                mis_branch(g, cfg)
-        return reused
-
-    def test_random_graphs(self, monkeypatch):
-        rng = np.random.default_rng(71)
-        graphs = [random_graph(rng, n, 5.0 / n) for n in (30, 34, 38)]
-        configs = [SolveConfig(selection_radius=r, enumeration_limit=k)
-                   for r in (1, 2, 3) for k in (3, 4, 7, 12, 26)]
-        reused = self.check_every_node(monkeypatch, graphs, configs)
-        # some nodes keep carried keys, so the reuse path runs
-        assert len(reused) >= 150 and sum(map(bool, reused)) >= 20
-
-    def test_kings_graphs(self, monkeypatch):
-        graphs = [kings_subgraph(n, 0.8, seed) for n, seed in ((60, 3), (90, 4))]
-        configs = [SolveConfig(selection_radius=r, enumeration_limit=k)
-                   for r in (1, 2, 3) for k in (3, 7, 12, 26)]
-        reused = self.check_every_node(monkeypatch, graphs, configs)
-        assert len(reused) >= 500 and sum(map(bool, reused)) >= 250
-
-
 def test_components_split():
     g = Graph(5, [(0, 1), (2, 3)])
     assert components(g) == [0b00011, 0b01100, 0b10000]
@@ -202,20 +181,20 @@ PIN_CONFIGS = {
 }
 SEARCH_PINS = [
     (('3regular', 40, 1, 'default'), (18, 4, 2, 2, 0x824cb6ac87)),
-    (('3regular', 60, 3, 'default'), (26, 16, 10, 4, 0xea3a226e409ba12)),
-    (('kings', 60, 6, 'default'), (19, 0, 5, 5, 0xaa02a80b014a059)),
-    (('kings', 90, 2, 'default'), (29, 0, 7, 7, 0x254a100ad0062a0ca510a31)),
-    (('er', 30, 3, 'default'), (10, 5, 2, 2, 0x44e4891)),
+    (('3regular', 60, 3, 'default'), (26, 14, 8, 4, 0xea3a226e409ba12)),
+    (('kings', 60, 6, 'default'), (19, 0, 0, 0, 0xaa02a80b00aa059)),
+    (('kings', 90, 2, 'default'), (29, 0, 0, 0, 0x46a810c50864a0ca510a31)),
+    (('er', 30, 3, 'default'), (10, 0, 1, 1, 0x44e4891)),
     (('3regular', 40, 1, 'lp'), (18, 4, 2, 2, 0x824cb6ac87)),
-    (('3regular', 60, 3, 'lp'), (26, 17, 11, 4, 0x958c1f1ab2a2451)),
-    (('kings', 60, 6, 'lp'), (19, 0, 5, 5, 0xaa02a80b014a059)),
-    (('kings', 90, 2, 'lp'), (29, 0, 7, 7, 0x254a100ad0062a0ca510a31)),
-    (('er', 30, 3, 'lp'), (10, 5, 2, 2, 0x44e4891)),
+    (('3regular', 60, 3, 'lp'), (26, 17, 8, 3, 0x958c1f1ab2a2451)),
+    (('kings', 60, 6, 'lp'), (19, 0, 0, 0, 0xaa02a80b00aa059)),
+    (('kings', 90, 2, 'lp'), (29, 0, 0, 0, 0x46a810c50864a0ca510a31)),
+    (('er', 30, 3, 'lp'), (10, 0, 1, 1, 0x44e4891)),
     (('3regular', 40, 1, 'r1k7'), (18, 14, 6, 3, 0x824cb6ac87)),
-    (('3regular', 60, 3, 'r1k7'), (26, 34, 18, 5, 0x2831f6af001b872)),
-    (('kings', 60, 6, 'r1k7'), (19, 16, 23, 8, 0xaa02a80b00aa059)),
-    (('kings', 90, 2, 'r1k7'), (29, 128, 178, 16, 0x1442950850862a0ca510a31)),
-    (('er', 30, 3, 'r1k7'), (10, 20, 11, 7, 0x44e4891)),
+    (('3regular', 60, 3, 'r1k7'), (26, 24, 10, 4, 0x2831f6af001b872)),
+    (('kings', 60, 6, 'r1k7'), (19, 0, 0, 0, 0xaa02a80b00aa059)),
+    (('kings', 90, 2, 'r1k7'), (29, 0, 0, 0, 0x46a810c50864a0ca510a31)),
+    (('er', 30, 3, 'r1k7'), (10, 10, 5, 5, 0x44e4891)),
 ]
 
 
@@ -305,19 +284,17 @@ class TestMisBranch:
     def test_kings_bench_pinned(self):
         # per-trial (n, mis, branches) of
         # `optbranch bench --gen kings --sizes 200:400:100 --trials 4 --seed 7`,
-        # recorded before region keys were carried between nodes
+        # re-recorded when reduce_fixpoint began deleting dominating vertices
         report = run_bench(BenchSpec("kings", (200, 300, 400), 4, 7))
         assert [(r.n, r.mis, r.branches) for r in report.rows] == [
-            (200, 62, 6), (200, 60, 0), (200, 63, 0), (200, 63, 0),
-            (300, 94, 2), (300, 94, 0), (300, 97, 0), (300, 94, 6),
-            (400, 127, 6), (400, 125, 0), (400, 126, 0), (400, 125, 22),
+            (200, 62, 0), (200, 60, 0), (200, 63, 0), (200, 63, 0),
+            (300, 94, 2), (300, 94, 0), (300, 97, 0), (300, 94, 0),
+            (400, 127, 0), (400, 125, 0), (400, 126, 0), (400, 125, 8),
         ]
 
     def test_search_pinned(self):
         # (mis_size, branch_count, node_count, max_depth, witness as a mask),
-        # recorded when every derived graph was still renumbered to 0..n-1;
-        # kings/90/2/default re-recorded when the gamma loop stopped at its
-        # first one-clause rule
+        # re-recorded when reduce_fixpoint began deleting dominating vertices
         for (kind, n, seed, cfg_name), want in SEARCH_PINS:
             g = PIN_GRAPHS[kind](n, seed)
             rep = mis_branch(g, PIN_CONFIGS[cfg_name])
@@ -331,7 +308,17 @@ class TestMisBranch:
 
 
 class TestLogging:
-    def test_debug_line_per_node_and_info_summary(self, caplog):
+    def test_debug_line_per_node_and_info_summary(self, caplog, monkeypatch):
+        real = engine.reduce_fixpoint
+        done = {"takes": 0, "folds": 0, "dominated": 0}
+
+        def counting(graph):
+            red = real(graph)
+            for kind in done:
+                done[kind] += len(getattr(red, kind))
+            return red
+
+        monkeypatch.setattr(engine, "reduce_fixpoint", counting)
         with caplog.at_level(logging.DEBUG, logger="optbranch.engine"):
             rep = mis_branch(tutte_graph())
         records = [r for r in caplog.records if r.name == "optbranch.engine"]
@@ -345,6 +332,10 @@ class TestLogging:
         assert f"mis_size={rep.mis_size}" in info[0]
         assert f"branches={rep.branch_count}" in info[0]
         assert f"nodes={rep.node_count}" in info[0]
+        # reductions by kind, summed over the search; the Tutte graph has all three
+        assert min(done.values()) >= 1
+        for kind, count in done.items():
+            assert f" {kind}={count} " in info[0]
 
     def test_silent_when_disabled(self, caplog):
         with caplog.at_level(logging.WARNING, logger="optbranch.engine"):
