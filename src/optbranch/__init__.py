@@ -10,10 +10,8 @@ from .clauses import (
     CandidateClause,
     Clause,
     delta_rho,
-    intersection,
     render_clause,
     render_dnf,
-    single_cover,
 )
 from .engine import (
     Reduction,
@@ -31,7 +29,7 @@ from .errors import (
     OptBranchError,
 )
 from .generators import erdos_renyi, grid_subgraph, kings_subgraph, three_regular
-from .graph import Graph, Measure, Region, as_mask, bits, induced_delete, measure, neighbors_k, region_of
+from .graph import Graph, Measure, Region, bits, induced_delete, neighbors_k, region_of
 from .io import parse_graph
 from .optimize import (
     OptimalBranchingResult,
@@ -53,12 +51,12 @@ __all__ = [
     "Clause", "DNF", "Graph", "InfeasibleError",
     "InputError", "InternalError", "Measure", "OptBranchError",
     "OptimalBranchingResult", "Reduction", "Region", "SolveConfig", "SolveReport",
-    "SolverKind", "WmscInstance", "WmscSolution", "alpha_tensor", "as_mask",
+    "SolverKind", "WmscInstance", "WmscSolution", "alpha_tensor",
     "bits", "boundary_grouped", "delta_rho",
-    "erdos_renyi", "find_gamma", "grid_subgraph", "induced_delete", "intersection",
-    "kings_subgraph", "measure", "minimize_gamma",
+    "erdos_renyi", "find_gamma", "grid_subgraph", "induced_delete",
+    "kings_subgraph", "minimize_gamma",
     "mis_branch", "neighbors_k", "optimal_rule",
     "parse_graph", "prune_by_environment", "prune_irrelevant", "reduce_fixpoint",
-    "region_of", "render_clause", "render_dnf", "select_subgraph", "single_cover",
+    "region_of", "render_clause", "render_dnf", "select_subgraph",
     "solve_exact", "solve_lp", "three_regular",
 ]

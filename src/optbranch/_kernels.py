@@ -8,9 +8,15 @@ before step v is below 2^v and every one it appends is at least 2^v, so the
 list stays ascending.  Work and memory are O(number of independent
 configurations) rather than O(2^width): a dense width-25 region costs a few
 thousand entries, and only a near-edgeless region approaches the 2^width of
-a full sweep.  The list is written into one 2^width int32 buffer from
-``np.empty``; the operating system backs only the pages written, so the
-resident memory follows the list's length.  Widths up to 31 fit in int32.
+a full sweep.  The list is written into one int32 buffer from ``np.empty``
+of min(2^width, ``MAX_CONFIGS``) entries; the operating system backs only
+the pages written, so the resident memory follows the list's length.  A
+list that would pass ``MAX_CONFIGS`` raises ``CapacityError`` instead.  The
+cap is the most a connected graph of ``ENUMERATION_LIMIT`` vertices can
+have, reached by a star: 2^25 + 1 configurations, 128 MB of int32.  Every
+region the search selects is connected and at most that wide, so only a
+disconnected region (from ``discover``) can pass it, such as 26 edgeless
+vertices with their 2^26 configurations.  Widths up to 31 fit in int32.
 """
 
 from __future__ import annotations
@@ -21,6 +27,13 @@ from .errors import CapacityError
 
 MAX_WIDTH = 31
 
+# the widest region the search selects and the alpha tensor enumerates
+ENUMERATION_LIMIT = 26
+
+# a star's count: the most independent configurations of a connected
+# graph on ENUMERATION_LIMIT vertices
+MAX_CONFIGS = (1 << (ENUMERATION_LIMIT - 1)) + 1
+
 
 def _independent_configs(width, adj_masks):
     """Every independent configuration, ascending, as an int32 array."""
@@ -28,13 +41,16 @@ def _independent_configs(width, adj_masks):
         raise ValueError("adjacency mask array must have one entry per vertex")
     if width > MAX_WIDTH:
         raise CapacityError(f"cannot enumerate {width} vertices, above {MAX_WIDTH}")
-    out = np.empty(1 << width, dtype=np.int32)
+    out = np.empty(min(1 << width, MAX_CONFIGS), dtype=np.int32)
     out[0] = 0
     n = 1
     for v, adj in enumerate(adj_masks):
         lower = int(adj) & ((1 << v) - 1)
         listed = out[:n]
         grown = listed[(listed & lower) == 0] if lower else listed
+        if n + grown.size > out.size:
+            raise CapacityError(f"{width} vertices have more than {MAX_CONFIGS} "
+                                "independent configurations")
         np.bitwise_or(grown, 1 << v, out=out[n:n + grown.size])
         n += grown.size
     return out[:n]

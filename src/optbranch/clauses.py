@@ -58,25 +58,6 @@ class CandidateClause:
     delta_rho: int
 
 
-def single_cover(config: int, width: int) -> Clause:
-    """The full-width clause satisfied exactly by ``config``."""
-    return Clause(width, (1 << width) - 1, config)
-
-
-def intersection(a: Clause, b: Clause) -> Clause | None:
-    """Clause keeping the literals shared by both inputs, or None if none.
-
-    Any configuration satisfying either input satisfies the result, and no
-    longer clause has that property.
-    """
-    if a.width != b.width:
-        raise InternalError("clause widths differ")
-    mask = a.mask & b.mask & ~(a.values ^ b.values)
-    if mask == 0:
-        return None
-    return Clause(a.width, mask, a.values & mask)
-
-
 def _pack_rows(matrix: np.ndarray) -> list[int]:
     """One Python int per row of a boolean matrix, bit j from column j."""
     nbytes = (matrix.shape[1] + 7) // 8

@@ -39,20 +39,16 @@ from .optimize import SolverKind, optimal_rule
 log = logging.getLogger(__name__)
 
 
+# radius of the closed neighbourhood a branching region grows to
+SELECTION_RADIUS = 2
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     measure: Measure = Measure.EFFECTIVE_DEGREE
     solver_kind: SolverKind = SolverKind.EXACT
-    selection_radius: int = 2
     env_pruning: bool = True
-    enumeration_limit: int = 26
     seed: int = 0
-
-    def __post_init__(self):
-        if self.selection_radius < 1:
-            raise InputError("selection_radius must be at least 1")
-        if self.enumeration_limit < 1:
-            raise InputError("enumeration_limit must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -124,9 +120,6 @@ def reduce_fixpoint(g: Graph) -> Reduction:
     is a fold vertex.  Each rule takes the smallest id first.  A graph with
     no vertex of degree <= 2 and no dominated vertex is returned uncopied.
     """
-    if (min(map(int.bit_count, g.adj_mask.values()), default=0) > 2
-            and not any(_dominator(g.adj_mask, u) is not None for u in g.adj_mask)):
-        return Reduction(g, [], [], [])
     adj = dict(g.adj_mask)
     low_degree = sum(1 << v for v, row in adj.items() if row.bit_count() <= 2)
     work = g.vertices  # domination candidates
@@ -185,6 +178,8 @@ def reduce_fixpoint(g: Graph) -> Reduction:
                 low_degree |= 1 << z
             folds.append((z, v, u, w))
 
+    if not (takes or folds or dominated):
+        return Reduction(g, takes, folds, dominated)
     return Reduction(Graph._derived(next_id, adj, live), takes, folds, dominated)
 
 
@@ -228,16 +223,16 @@ def _region(adj_mask, v: int, radius: int, limit: int) -> tuple[int, int]:
     return mask, boundary
 
 
-def select_subgraph(g: Graph, cfg: SolveConfig) -> Region:
-    """Pick the branching region: the radius-``selection_radius`` closed
+def select_subgraph(g: Graph) -> Region:
+    """Pick the branching region: the radius-``SELECTION_RADIUS`` closed
     neighborhood with the fewest boundary vertices, shrunk toward N[v] and
-    finally {v} whenever it would exceed the enumeration limit.  Ties prefer
-    fewer vertices, then the smallest anchor id."""
+    finally {v} whenever it would exceed ``_kernels.ENUMERATION_LIMIT``.
+    Ties prefer fewer vertices, then the smallest anchor id."""
     if not g.vertices:
         raise InputError("cannot select a region in an empty graph")
     adj_mask = g.adj_mask
-    regions = {v: _region(adj_mask, v, cfg.selection_radius, cfg.enumeration_limit)
-               for v in adj_mask}
+    radius, limit = SELECTION_RADIUS, _kernels.ENUMERATION_LIMIT
+    regions = {v: _region(adj_mask, v, radius, limit) for v in adj_mask}
     best = min(regions, key=lambda v: (regions[v][1], regions[v][0].bit_count()))
     return region_of(g, regions[best][0])
 
@@ -292,7 +287,7 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
                 comp = kernel
             else:
                 comp = induced_delete(kernel, kernel.vertices & ~comp_mask)
-            region = select_subgraph(comp, cfg)
+            region = select_subgraph(comp)
             if region.boundary == 0:
                 size, chosen = _component_lookup(region)
                 total += size
@@ -302,8 +297,7 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
             rule_seed = (cfg.seed ^ (nodes * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
             table, cands, result = optimal_rule(
                 region, cfg.measure, cfg.solver_kind,
-                env_pruning=cfg.env_pruning, limit=cfg.enumeration_limit,
-                seed=rule_seed,
+                env_pruning=cfg.env_pruning, seed=rule_seed,
             )
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("node %d: depth=%d n=%d width=%d rows=%d k=%d gamma=%.6f",

@@ -7,8 +7,8 @@ search, and a fold vertex takes a fresh id at or above its parent's ``n``.
 ``Graph.n`` therefore bounds the ids rather than counting the vertices.
 Vertex sets are plain Python ints used as bitmasks (bit v set means vertex v
 is a member), which keeps neighborhood and boundary arithmetic at O(n/64)
-per operation; the helpers :func:`as_mask` and :func:`bits` convert between
-masks and iterables, and :func:`bit_matrix` lays masks out as 0/1 rows.
+per operation; :func:`bits` lists a mask's ids, and :func:`bit_matrix` lays
+masks out as 0/1 rows.
 Graphs never mutate, so derived graphs can be shared freely across search
 branches.
 """
@@ -37,11 +37,6 @@ def _members(live: int, vertices) -> int:
             raise InputError(f"vertex id {v} is not in the graph")
         mask |= 1 << v
     return mask
-
-
-def as_mask(n: int, vertices) -> int:
-    """Normalize an int bitmask or an iterable of ids in ``0..n-1`` to a bitmask."""
-    return _members((1 << n) - 1, vertices)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -110,17 +105,6 @@ class Graph:
     def m(self) -> int:
         return sum(map(int.bit_count, self.adj_mask.values())) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj_mask[v].bit_count()
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, row in self.adj_mask.items():
-            for v in bits(row >> (u + 1)):
-                yield u, u + 1 + v
-
-    def full_mask(self) -> int:
-        return self.vertices
-
     def neighbors_mask(self, vertices) -> int:
         """Open neighborhood N(S) as a mask."""
         s = _members(self.vertices, vertices)
@@ -173,12 +157,6 @@ def induced_delete(g: Graph, removed) -> Graph:
     gone = _members(g.vertices, removed)
     adj = {v: row & ~gone for v, row in g.adj_mask.items() if not gone >> v & 1}
     return Graph._derived(g.n, adj, g.vertices & ~gone)
-
-
-def measure(g: Graph, m: Measure) -> int:
-    if m is Measure.VERTEX_COUNT:
-        return len(g.adj_mask)
-    return sum(d - 2 for d in map(int.bit_count, g.adj_mask.values()) if d > 2)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ exist".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,41 +38,32 @@ class OptimalBranchingResult:
     chosen_indices: tuple[int, ...]
     branching_vector: tuple[int, ...]
     gamma: float
-    solver_kind: SolverKind
     gamma_trail: tuple[float, ...] = ()
 
 
 def find_gamma(vector) -> float:
-    """Unique gamma >= 1 with sum(gamma^-v) = 1; exactly 1 for single entries."""
+    """Unique gamma >= 1 with sum(gamma^-v) = 1; exactly 1 for single entries.
+
+    Newton's iteration from gamma = 1, stopped at the first iterate that does
+    not increase.  f(gamma) = sum(gamma^-v) - 1 is convex and decreasing with
+    f(1) = k - 1 > 0 for k >= 2 entries, so the iterates rise monotonically
+    to the root.
+    """
     vec = list(vector)
     if not vec:
         raise InputError("branching vector must be nonempty")
-    if any(v <= 0 for v in vec):
-        raise InputError("branching vector entries must be positive")
+    if not all(0 < v < math.inf for v in vec):
+        raise InputError("branching vector entries must be positive and finite")
     if len(vec) == 1:
         return 1.0
-
-    def f(g):
-        return sum(g ** -v for v in vec) - 1.0
-
-    def fprime(g):
-        return sum(-v * g ** (-v - 1.0) for v in vec)
-
-    lo, hi = 1.0, len(vec) ** (1.0 / min(vec))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = f(mid)
-        if abs(r) < 1e-13:
-            lo = hi = mid
-            break
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    g = 0.5 * (lo + hi)
-    for _ in range(2):
-        g = max(1.0 + 1e-16, g - f(g) / fprime(g))
-    return g
+    gamma = 1.0
+    while True:
+        f = sum(gamma ** -v for v in vec) - 1.0
+        fprime = sum(-v * gamma ** (-v - 1.0) for v in vec)
+        next_gamma = gamma - f / fprime
+        if next_gamma <= gamma:
+            return gamma
+        gamma = next_gamma
 
 
 def minimize_gamma(
@@ -119,7 +111,6 @@ def minimize_gamma(
                 chosen_indices=chosen,
                 branching_vector=vector,
                 gamma=gamma,
-                solver_kind=solver,
                 gamma_trail=tuple(trail),
             )
         gamma_old = gamma_new
@@ -131,7 +122,6 @@ def optimal_rule(
     m: Measure,
     solver: SolverKind = SolverKind.EXACT,
     env_pruning: bool | None = None,
-    limit: int = 26,
     seed: int = 0,
 ) -> tuple[BranchingTable, list[CandidateClause], OptimalBranchingResult]:
     """Full rule-synthesis pipeline for one region.
@@ -144,8 +134,8 @@ def optimal_rule(
     pruning would be unsound.
     """
     if env_pruning is None:
-        env_pruning = region.vertices != region.host.full_mask()
-    tensor = prune_irrelevant(alpha_tensor(region, limit))
+        env_pruning = region.vertices != region.host.vertices
+    tensor = prune_irrelevant(alpha_tensor(region))
     if env_pruning:
         tensor = prune_by_environment(tensor)
     table = boundary_grouped(tensor)

@@ -78,16 +78,12 @@ class WmscInstance:
 
 @dataclass(frozen=True)
 class WmscSolution:
+    """A cover's set indices and weight; ``lp_bound`` is set only by the LP
+    rounding, whose cover may not be optimal."""
+
     chosen: tuple[int, ...]
     objective: float
-    exact: bool
     lp_bound: float | None = None
-
-    def covers(self, inst: WmscInstance) -> bool:
-        got = 0
-        for i in self.chosen:
-            got |= inst.sets[i]
-        return got == inst.full_mask()
 
 
 def _collapse(inst: WmscInstance):
@@ -332,7 +328,7 @@ def solve_exact(inst: WmscInstance) -> WmscSolution:
 
     picked = tuple(sorted(indices[i] for i in chosen))
     objective = sum(inst.weights[i] for i in picked)
-    return WmscSolution(picked, objective, exact=True)
+    return WmscSolution(picked, objective)
 
 
 def _drop_redundant(sets, weights, picked, universe_size):
@@ -399,4 +395,4 @@ def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
             best_obj = obj
             best_picked = tuple(picked)
     return WmscSolution(best_picked, sum(inst.weights[i] for i in best_picked),
-                        exact=False, lp_bound=lp_obj / scale)
+                        lp_bound=lp_obj / scale)

@@ -65,13 +65,15 @@ class BranchingTable:
         return len(self.rows)
 
 
-def alpha_tensor(r: Region, limit: int = 26) -> AlphaTensor:
+def alpha_tensor(r: Region) -> AlphaTensor:
     """Exhaustively enumerate the alpha tensor of ``r``.
 
     Every independent local configuration is listed once; the maximum
     popcount per boundary configuration survives.  The listing is kept on
-    the tensor for ``boundary_grouped``.
+    the tensor for ``boundary_grouped``.  A region wider than
+    ``_kernels.ENUMERATION_LIMIT`` raises ``CapacityError``.
     """
+    limit = _kernels.ENUMERATION_LIMIT
     if r.width > limit:
         raise CapacityError(
             f"region has {r.width} vertices, above the enumeration limit {limit}"

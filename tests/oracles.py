@@ -1,4 +1,5 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and the reference definitions the
+tests read graphs and covers through.
 
 These deliberately avoid the package's enumeration kernels and solvers so
 the tests compare two unrelated routes to the same answer; the gamma
@@ -14,6 +15,32 @@ import numpy as np
 from optbranch.errors import InfeasibleError, InternalError
 from optbranch.graph import Measure, bits
 from optbranch.setcover import WmscInstance, solve_exact
+
+
+def edges(g):
+    """The edges of ``g`` as (u, v) pairs with u < v, in ascending order."""
+    for u, row in g.adj_mask.items():
+        for v in bits(row >> (u + 1)):
+            yield u, u + 1 + v
+
+
+def degree(g, v):
+    return g.adj_mask[v].bit_count()
+
+
+def measure(g, m):
+    """The measure of ``g``: its vertex count, or sum(max(0, d(v) - 2))."""
+    if m is Measure.VERTEX_COUNT:
+        return len(g.adj_mask)
+    return sum(max(0, degree(g, v) - 2) for v in g.adj_mask)
+
+
+def is_cover(sol, inst):
+    """True when the sets ``sol`` chose cover the universe of ``inst``."""
+    got = 0
+    for i in sol.chosen:
+        got |= inst.sets[i]
+    return got == inst.full_mask()
 
 
 def _alpha(adj):

@@ -19,7 +19,7 @@ from optbranch.optimize import SolverKind, find_gamma, minimize_gamma, optimal_r
 from optbranch.setcover import WmscInstance, solve_exact, solve_lp
 from optbranch.table import alpha_tensor, boundary_grouped, prune_irrelevant
 
-from oracles import minimize_gamma_bisection, oracle_mis, oracle_set_cover
+from oracles import is_cover, minimize_gamma_bisection, oracle_mis, oracle_set_cover
 from paper_cases import (
     BOTTLENECK_CANDIDATES, BOTTLENECK_GAMMA, BOTTLENECK_ROWS, BOTTLENECK_VECTOR,
     DOMINATION_ROWS, FIG1_ALPHA, FIG1_CANDIDATES, FIG1_GAMMA, FIG1_OPTIMAL_RULE,
@@ -223,7 +223,7 @@ def test_criterion_9_wmsc_exactness():
         inst = WmscInstance(universe, tuple(sets), weights)
         want, _ = oracle_set_cover(universe, inst.sets, inst.weights)
         sol = solve_exact(inst)
-        assert sol.covers(inst)
+        assert is_cover(sol, inst)
         assert abs(sol.objective - want) <= 1e-9
         lp = solve_lp(inst, seed=int(rng.integers(0, 2**31)))
         assert lp.lp_bound <= want + 1e-9

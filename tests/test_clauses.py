@@ -1,12 +1,13 @@
 import hashlib
+import itertools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from optbranch import engine
 from optbranch.clauses import (
-    CandidateClause, Clause, DNF, _closure, build_candidates, delta_rho,
-    intersection, render_clause, render_dnf, single_cover,
+    CandidateClause, Clause, DNF, _closure, build_candidates, delta_rho, render_clause,
+    render_dnf,
 )
 from optbranch.engine import SolveConfig, mis_branch
 from optbranch.generators import kings_subgraph, three_regular
@@ -60,50 +61,62 @@ def clauses_strategy(width=5):
 
 
 class TestSingleCover:
+    """A configuration's full-width clause, the closure's seed."""
+
     def test_lone_one(self):
-        c = single_cover(string_to_config("00001"), 5)
+        c = Clause(5, 0b11111, string_to_config("00001"))
         assert render_clause(c) == "¬a ∧ ¬b ∧ ¬c ∧ ¬d ∧ e"
 
     def test_all_zero_width_one(self):
-        assert render_clause(single_cover(0, 1)) == "¬a"
+        assert render_clause(Clause(1, 1, 0)) == "¬a"
 
     def test_leading_ones(self):
-        c = single_cover(string_to_config("11100"), 5)
+        c = Clause(5, 0b11111, string_to_config("11100"))
         assert render_clause(c) == "a ∧ b ∧ c ∧ ¬d ∧ ¬e"
 
 
-class TestIntersection:
-    def test_paper_example(self):
-        a = clause_from_text("¬a ∧ b ∧ c", 4)
-        b = clause_from_text("¬a ∧ b ∧ ¬c ∧ d", 4)
-        assert render_clause(intersection(a, b)) == "¬a ∧ b"
+def one_config_rows(width, configs):
+    """A table with one row per configuration, each holding only it."""
+    return BranchingTable(width, tuple((c,) for c in configs), (0,) * len(configs),
+                          tuple(range(len(configs))))
 
-    def test_idempotent(self):
-        c = clause_from_text("¬a ∧ b", 3)
-        assert intersection(c, c) == c
+
+class TestIntersection:
+    """The closure's intersection step: a clause and a configuration of a row
+    it does not cover keep the literals they share."""
+
+    def test_paper_example(self):
+        table = one_config_rows(4, [string_to_config("0110"), string_to_config("0101")])
+        assert [render_clause(c) for c in candidate_clauses(table)] == [
+            "¬a ∧ b ∧ c ∧ ¬d", "¬a ∧ b ∧ ¬c ∧ d", "¬a ∧ b"]
 
     def test_contradiction_is_empty(self):
-        a = Clause(1, 1, 1)
-        b = Clause(1, 1, 0)
-        assert intersection(a, b) is None
+        # a and ¬a share no literal, so nothing joins the two seeds
+        assert candidate_clauses(one_config_rows(1, [1, 0])) == [Clause(1, 1, 1), Clause(1, 1, 0)]
 
-    @given(clauses_strategy(), clauses_strategy())
+    @given(st.lists(st.integers(0, 31), min_size=2, max_size=2, unique=True))
     @settings(max_examples=100, deadline=None)
-    def test_commutative_and_weakening(self, a, b):
-        ab = intersection(a, b)
-        assert ab == intersection(b, a)
-        if ab is not None:
-            for cfg in range(32):
-                if cfg & a.mask == a.values or cfg & b.mask == b.values:
-                    assert cfg & ab.mask == ab.values
+    def test_commutative_and_weakening(self, configs):
+        # in either row order, the closure adds to the two seeds exactly the
+        # clause of their shared literals, which both configurations satisfy
+        x, y = configs
+        shared = 31 & ~(x ^ y)
+        want = {Clause(5, 31, x), Clause(5, 31, y)}
+        if shared:
+            want.add(Clause(5, shared, x & shared))
+        for order in ((x, y), (y, x)):
+            assert set(candidate_clauses(one_config_rows(5, order))) == want
 
-    @given(clauses_strategy(), clauses_strategy(), clauses_strategy())
+    @given(st.lists(st.integers(0, 31), min_size=3, max_size=3, unique=True))
     @settings(max_examples=100, deadline=None)
-    def test_associative_where_defined(self, a, b, c):
-        left = intersection(a, b)
-        right = intersection(b, c)
-        if left is not None and right is not None:
-            assert intersection(left, c) == intersection(a, right)
+    def test_associative_where_defined(self, configs):
+        x, y, z = configs
+        shared = 31 & ~(x ^ y) & ~(y ^ z)
+        closures = [set(candidate_clauses(one_config_rows(5, order)))
+                    for order in itertools.permutations(configs)]
+        assert all(c == closures[0] for c in closures)
+        if shared:
+            assert Clause(5, shared, x & shared) in closures[0]
 
 
 class TestCovers:
@@ -114,7 +127,7 @@ class TestCovers:
 
     def test_single_cover_covers_own_row(self):
         cfg = string_to_config("01010")
-        assert covers(single_cover(cfg, 5), (cfg,))
+        assert covers(Clause(5, 0b11111, cfg), (cfg,))
 
     def test_not_g_on_ph2_rows(self):
         from paper_cases import PH2_ROWS
@@ -146,7 +159,7 @@ class TestCandidateClauses:
     def test_single_config_table(self):
         table = BranchingTable(3, ((5,),), (2,), (0,))
         cands = candidate_clauses(table)
-        assert cands == [single_cover(5, 3)]
+        assert cands == [Clause(3, 0b111, 5)]
 
     def test_matches_selection_oracle_on_small_tables(self):
         rng = np.random.default_rng(17)
@@ -182,7 +195,7 @@ class TestDeltaRho:
     def test_full_width_removes_region(self):
         g = Graph(5, [])
         r = region_of(g, range(5), boundary=[0])
-        c = single_cover(0b00110, 5)
+        c = Clause(5, 0b11111, 0b00110)
         assert drops([c], r, Measure.VERTEX_COUNT) == [5]
 
     def test_ph2_c9_effective_degree(self):
@@ -224,7 +237,7 @@ class TestArraysMatchOracles:
             size = int(rng.integers(1, min(9, len(live)) + 1))
             vertices = sorted(rng.choice(live, size, replace=False).tolist())
             r = region_of(host, vertices)
-            for env_pruning in {False, r.vertices != host.full_mask()}:
+            for env_pruning in {False, r.vertices != host.vertices}:
                 table = table_of(r, env_pruning)
                 entries = _closure(table)
                 assert entries == oracle_closure(table)
@@ -296,7 +309,7 @@ class TestCandidatePins:
             "bottleneck": (bottleneck_region(), Measure.EFFECTIVE_DEGREE),
         }
         for name, (region, m) in cases.items():
-            env_pruning = region.vertices != region.host.full_mask()
+            env_pruning = region.vertices != region.host.vertices
             cands = build_candidates(table_of(region, env_pruning), region, m)
             assert (len(cands), candidate_digest(cands)) == REGION_PINS[name], name
 

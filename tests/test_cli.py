@@ -77,6 +77,15 @@ class TestDiscover:
         assert main(["discover", str(host), "--region", region]) == 2
         assert "above the enumeration limit 26" in capsys.readouterr().err
 
+    def test_region_past_the_listing_cap_exits_two(self, tmp_path, capsys):
+        # 26 edgeless vertices are within the enumeration limit, but their
+        # 2^26 independent configurations pass the kernels' listing cap
+        host = tmp_path / "edgeless26.edgelist"
+        host.write_text("26\n")
+        region = ",".join(str(v) for v in range(1, 27))
+        assert main(["discover", str(host), "--region", region]) == 2
+        assert "independent configurations" in capsys.readouterr().err
+
     def test_region_with_no_reducing_clause_exits_two(self, tmp_path, capsys):
         # every vertex of a path has degree at most 2, so no clause lowers
         # the effective degree; the vertex count still has a rule

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from optbranch import engine
+from optbranch import _kernels, engine
 from optbranch.bench import BenchSpec, run_bench
 from optbranch.engine import (
     SolveConfig, components, mis_branch, reduce_fixpoint, select_subgraph,
@@ -13,7 +13,7 @@ from optbranch.generators import erdos_renyi, kings_subgraph, three_regular
 from optbranch.graph import Graph, bits, induced_delete
 from optbranch.optimize import SolverKind
 
-from oracles import oracle_mis, oracle_mis_set
+from oracles import edges, oracle_mis, oracle_mis_set
 from paper_cases import tutte_graph
 
 
@@ -67,7 +67,7 @@ class TestReduceFixpoint:
         # 6..15: every rim vertex has degree 3 and N[rim] inside N[hub], so
         # the hub goes, the 5-cycle folds away, and the Petersen graph stays
         wheel = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
-        shifted = [(u + 6, v + 6) for u, v in petersen().edges()]
+        shifted = [(u + 6, v + 6) for u, v in edges(petersen())]
         g = Graph(16, wheel + shifted)
         red = reduce_fixpoint(g)
         assert red.dominated == [5] and red.offset == 2
@@ -103,7 +103,7 @@ class TestReduceFixpoint:
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.3)))
             kernel = reduce_fixpoint(g).graph
-            want = Graph(kernel.n, list(kernel.edges()))
+            want = Graph(kernel.n, list(edges(kernel)))
             assert list(kernel.adj_mask) == list(bits(kernel.vertices))
             assert kernel.adj_mask == {v: want.adj_mask[v] for v in bits(kernel.vertices)}
             assert kernel.m == want.m
@@ -143,25 +143,25 @@ class TestReduceFixpoint:
 class TestSelectSubgraph:
     def test_whole_small_component_selected(self):
         g = cycle(4)
-        region = select_subgraph(g, SolveConfig())
+        region = select_subgraph(g)
         assert region.boundary == 0
-        assert region.vertices == g.full_mask()
+        assert region.vertices == g.vertices
 
     def test_petersen_diameter_two(self):
-        region = select_subgraph(petersen(), SolveConfig())
-        assert region.vertices == petersen().full_mask()
+        region = select_subgraph(petersen())
+        assert region.vertices == petersen().vertices
         assert region.boundary == 0
 
-    def test_region_respects_enumeration_limit(self):
+    def test_region_respects_enumeration_limit(self, monkeypatch):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 40, 0.25)
-        cfg = SolveConfig(enumeration_limit=12)
-        region = select_subgraph(g, cfg)
+        monkeypatch.setattr(_kernels, "ENUMERATION_LIMIT", 12)
+        region = select_subgraph(g)
         assert region.width <= 12
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):
-            select_subgraph(Graph(0, []), SolveConfig())
+            select_subgraph(Graph(0, []))
 
 
 def test_components_split():
@@ -177,7 +177,8 @@ PIN_GRAPHS = {
 PIN_CONFIGS = {
     "default": SolveConfig(),
     "lp": SolveConfig(solver_kind=SolverKind.LP_RELAXED),
-    "r1k7": SolveConfig(selection_radius=1, enumeration_limit=7),
+    # with regions of radius at most 1 and at most 7 vertices
+    "r1k7": SolveConfig(),
 }
 SEARCH_PINS = [
     (('3regular', 40, 1, 'default'), (18, 4, 2, 2, 0x824cb6ac87)),
@@ -185,16 +186,22 @@ SEARCH_PINS = [
     (('kings', 60, 6, 'default'), (19, 0, 0, 0, 0xaa02a80b00aa059)),
     (('kings', 90, 2, 'default'), (29, 0, 0, 0, 0x46a810c50864a0ca510a31)),
     (('er', 30, 3, 'default'), (10, 0, 1, 1, 0x44e4891)),
+    (('kings', 250, 1, 'default'), (78, 3, 8, 5, 0x2d520015548808a2a8200946a8400a55c2014258520502a170a041735001557)),
+    (('kings', 500, 2, 'default'), (151, 6, 8, 6, 0x695d404002a1aba1400081aad2c00201aac5400201563380140e918a80222aa32a00a40554314002911a04110aa91a004816a5544000056b55a0000aaaaa9)),
     (('3regular', 40, 1, 'lp'), (18, 4, 2, 2, 0x824cb6ac87)),
     (('3regular', 60, 3, 'lp'), (26, 17, 8, 3, 0x958c1f1ab2a2451)),
     (('kings', 60, 6, 'lp'), (19, 0, 0, 0, 0xaa02a80b00aa059)),
     (('kings', 90, 2, 'lp'), (29, 0, 0, 0, 0x46a810c50864a0ca510a31)),
     (('er', 30, 3, 'lp'), (10, 0, 1, 1, 0x44e4891)),
+    (('kings', 250, 1, 'lp'), (78, 3, 8, 5, 0x2d520015548808a2a8200946a8400a55c2014258520502a170a041735001557)),
+    (('kings', 500, 2, 'lp'), (151, 6, 8, 6, 0x695d404002a1aba1400081aad2c00201aac5400201563380140e918a80222aa32a00a40554314002911a04110aa91a004816a5544000056b55a0000aaaaa9)),
     (('3regular', 40, 1, 'r1k7'), (18, 14, 6, 3, 0x824cb6ac87)),
     (('3regular', 60, 3, 'r1k7'), (26, 24, 10, 4, 0x2831f6af001b872)),
     (('kings', 60, 6, 'r1k7'), (19, 0, 0, 0, 0xaa02a80b00aa059)),
     (('kings', 90, 2, 'r1k7'), (29, 0, 0, 0, 0x46a810c50864a0ca510a31)),
     (('er', 30, 3, 'r1k7'), (10, 10, 5, 5, 0x44e4891)),
+    (('kings', 250, 1, 'r1k7'), (78, 40, 22, 10, 0x2d520015548808a2a8200d46a0401a5582054250520a0143714041735001557)),
+    (('kings', 500, 2, 'r1k7'), (151, 696, 383, 25, 0x955d48000229abb0400041aad8c00001aacaa00201563380140e918a80222aa32a00a40554314002915a04100aa91a004816a5544000056b55a0000aaaaa9)),
 ]
 
 
@@ -220,6 +227,16 @@ class TestMisBranch:
             assert g.is_independent(rep.witness)
             assert len(rep.witness) == rep.mis_size
 
+    def test_whole_component_region_past_two_to_the_22(self):
+        # K_{3,22}: minimum degree 3 and no dominated vertex, so the search
+        # looks up the whole connected component, whose 2^3 + 2^22 - 1
+        # independent configurations stay under the kernels' listing cap
+        g = Graph(25, [(a, b) for a in range(3) for b in range(3, 25)])
+        assert reduce_fixpoint(g).graph is g
+        rep = mis_branch(g)
+        assert rep.mis_size == oracle_mis(g) == 22 and rep.branch_count == 0
+        assert g.is_independent(rep.witness)
+
     def test_derived_graph_keeps_its_ids(self):
         rng = np.random.default_rng(109)
         for _ in range(20):
@@ -236,8 +253,8 @@ class TestMisBranch:
         for _ in range(10):
             g1 = random_graph(rng, int(rng.integers(2, 10)), 0.4)
             g2 = random_graph(rng, int(rng.integers(2, 10)), 0.4)
-            shift = [(u + g1.n, v + g1.n) for u, v in g2.edges()]
-            union = Graph(g1.n + g2.n, list(g1.edges()) + shift)
+            shift = [(u + g1.n, v + g1.n) for u, v in edges(g2)]
+            union = Graph(g1.n + g2.n, list(edges(g1)) + shift)
             a = mis_branch(g1)
             b = mis_branch(g2)
             c = mis_branch(union)
@@ -292,19 +309,20 @@ class TestMisBranch:
             (400, 127, 0), (400, 125, 0), (400, 126, 0), (400, 125, 8),
         ]
 
-    def test_search_pinned(self):
+    def test_search_pinned(self, monkeypatch):
         # (mis_size, branch_count, node_count, max_depth, witness as a mask),
-        # re-recorded when reduce_fixpoint began deleting dominating vertices
+        # re-recorded when reduce_fixpoint began deleting dominating vertices;
+        # kings 250 and 500, which still branch under domination, added later
         for (kind, n, seed, cfg_name), want in SEARCH_PINS:
             g = PIN_GRAPHS[kind](n, seed)
-            rep = mis_branch(g, PIN_CONFIGS[cfg_name])
+            with monkeypatch.context() as patch:
+                if cfg_name == "r1k7":
+                    patch.setattr(engine, "SELECTION_RADIUS", 1)
+                    patch.setattr(_kernels, "ENUMERATION_LIMIT", 7)
+                rep = mis_branch(g, PIN_CONFIGS[cfg_name])
             got = (rep.mis_size, rep.branch_count, rep.node_count, rep.max_depth,
                    sum(1 << v for v in rep.witness))
             assert got == want, (kind, n, seed, cfg_name)
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(InputError):
-            SolveConfig(selection_radius=0)
 
 
 class TestLogging:

@@ -61,3 +61,19 @@ def test_empty_width_scan():
 def test_width_beyond_int32_configs_is_refused():
     with pytest.raises(CapacityError):
         _kernels.max_independent(_kernels.MAX_WIDTH + 1, [0] * (_kernels.MAX_WIDTH + 1))
+
+
+def test_listing_past_the_cap_is_refused():
+    # an edgeless width-26 graph has 2^26 independent configurations
+    assert 1 << 26 > _kernels.MAX_CONFIGS
+    with pytest.raises(CapacityError):
+        _kernels.config_scan(26, [0] * 26, [])
+
+
+def test_listing_at_the_cap_is_kept(monkeypatch):
+    # eight edgeless vertices list exactly 2^8 configurations
+    monkeypatch.setattr(_kernels, "MAX_CONFIGS", 1 << 8)
+    configs, _pop, _key, alpha = _kernels.config_scan(8, [0] * 8, [0])
+    assert configs.tolist() == list(range(1 << 8)) and alpha.tolist() == [7, 8]
+    with pytest.raises(CapacityError):
+        _kernels.config_scan(9, [0] * 9, [0])

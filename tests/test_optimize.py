@@ -53,6 +53,10 @@ class TestFindGamma:
             find_gamma([])
         with pytest.raises(InputError):
             find_gamma([0, 2])
+        with pytest.raises(InputError):
+            find_gamma([float("nan"), 2])
+        with pytest.raises(InputError):
+            find_gamma([float("inf"), 2])
 
     @given(st.lists(st.integers(1, 40), min_size=2, max_size=8))
     @settings(max_examples=150, deadline=None)

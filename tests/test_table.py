@@ -160,7 +160,7 @@ def _environment_alpha(region, key):
             v for v in range(host.n) if (region.boundary >> v) & 1)):
         if (key >> j) & 1:
             chosen |= 1 << v
-    left = host.full_mask() & ~region.vertices & ~host.neighbors_mask(chosen)
+    left = host.vertices & ~region.vertices & ~host.neighbors_mask(chosen)
     verts = [v for v in range(host.n) if (left >> v) & 1]
     pos = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)

@@ -10,7 +10,7 @@ from optbranch.setcover import (
     SMALL_SET_LIMIT, WmscInstance, WmscSolution, solve_exact, solve_lp,
 )
 
-from oracles import oracle_set_cover, oracle_set_cover_dp
+from oracles import is_cover, oracle_set_cover, oracle_set_cover_dp
 from paper_cases import FIG1_CANDIDATES, FIG1_GAMMA
 
 
@@ -125,7 +125,7 @@ class TestSolveExact:
         # 1-based {4, 5, 7} in the published numbering
         assert tuple(i + 1 for i in sol.chosen) == (4, 5, 7)
         assert math.isclose(sol.objective, 1.0, abs_tol=1e-9)
-        assert sol.exact
+        assert sol.lp_bound is None
 
     def test_single_covering_set(self):
         inst = WmscInstance(3, (0b111,), (0.7,))
@@ -138,7 +138,7 @@ class TestSolveExact:
             inst = random_instance(rng)
             want, _ = oracle_set_cover(inst.universe_size, inst.sets, inst.weights)
             sol = solve_exact(inst)
-            assert sol.covers(inst)
+            assert is_cover(sol, inst)
             assert abs(sol.objective - want) <= 1e-9
 
     def test_tiny_weights_match_dp_oracle(self):
@@ -151,7 +151,7 @@ class TestSolveExact:
             inst = WmscInstance(inst.universe_size, inst.sets, weights)
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
             sol = solve_exact(inst)
-            assert sol.covers(inst)
+            assert is_cover(sol, inst)
             assert math.isclose(sol.objective, want, rel_tol=1e-9)
 
     def test_wide_instances_match_dp_oracle(self):
@@ -169,7 +169,7 @@ class TestSolveExact:
             assert len(set(inst.sets)) >= 110
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
             sol = solve_exact(inst)
-            assert sol.covers(inst)
+            assert is_cover(sol, inst)
             assert math.isclose(sol.objective, want, rel_tol=1e-9)
             assert solve_exact(inst).chosen == sol.chosen
 
@@ -206,7 +206,7 @@ class TestWidePath:
             exits.clear()
             sol = solve_exact(inst)
             assert exits == [want_exit]
-            assert sol.covers(inst)
+            assert is_cover(sol, inst)
             assert math.isclose(sol.objective, want, rel_tol=1e-9)
 
     def test_exits_on_seeded_wide_instances(self, monkeypatch):
@@ -216,7 +216,7 @@ class TestWidePath:
             inst = wide_instance(rng, 1.1, 4, 30)
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
             sol = solve_exact(inst)
-            assert sol.covers(inst)
+            assert is_cover(sol, inst)
             assert math.isclose(sol.objective, want, rel_tol=1e-9)
         assert set(exits) == {"a", "b", "c"}
 
@@ -247,7 +247,7 @@ class TestSolveLp:
             inst = random_instance(rng)
             exact = solve_exact(inst)
             lp = solve_lp(inst, seed=5)
-            assert lp.covers(inst)
+            assert is_cover(lp, inst)
             assert lp.lp_bound <= exact.objective + 1e-9
             assert lp.objective >= exact.objective - 1e-9
 
@@ -287,7 +287,7 @@ class TestSolveLp:
         for inst in insts:
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
             lp = solve_lp(inst, seed=1)
-            assert lp.covers(inst)
+            assert is_cover(lp, inst)
             assert lp.lp_bound <= want * (1.0 + 1e-9)
             assert lp.objective >= want * (1.0 - 1e-9)
 
@@ -382,5 +382,5 @@ def test_enumeration_oracle_exact_at_tiny_weights():
 
 def test_solution_covers_helper():
     inst = WmscInstance(2, (0b01, 0b10), (1.0, 1.0))
-    assert WmscSolution((0, 1), 2.0, True).covers(inst)
-    assert not WmscSolution((0,), 1.0, True).covers(inst)
+    assert is_cover(WmscSolution((0, 1), 2.0), inst)
+    assert not is_cover(WmscSolution((0,), 1.0), inst)
