@@ -7,7 +7,7 @@ a branch-and-reduce engine.  See README.md for the CLI and benchmark harness.
 
 from .clauses import (
     DNF,
-    CandidateClause,
+    Candidates,
     Clause,
     delta_rho,
     render_clause,
@@ -47,7 +47,7 @@ __version__ = "0.1.0"
 BACKEND = "numpy"
 
 __all__ = [
-    "AlphaTensor", "BACKEND", "BranchingTable", "CandidateClause", "CapacityError",
+    "AlphaTensor", "BACKEND", "BranchingTable", "Candidates", "CapacityError",
     "Clause", "DNF", "Graph", "InfeasibleError",
     "InputError", "InternalError", "Measure", "OptBranchError",
     "OptimalBranchingResult", "Reduction", "Region", "SolveConfig", "SolveReport",

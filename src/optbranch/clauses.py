@@ -11,11 +11,15 @@ closure handles one generation of its worklist at a time (``_closure``),
 and ``delta_rho`` gives the measure reduction of every candidate at once
 from integer products over the host's second neighbourhood N²[R].  Both
 return plain Python ints, so nothing downstream sees a numpy scalar.
+``build_candidates`` keeps the layer as parallel tuples (``Candidates``):
+the set cover reads only coverage and δρ, and only the clauses a rule
+keeps become ``Clause`` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from string import ascii_lowercase
 
 import numpy as np
@@ -50,12 +54,26 @@ class DNF:
 
 
 @dataclass(frozen=True)
-class CandidateClause:
-    """A clause plus its row coverage and measure reduction."""
+class Candidates:
+    """A region's candidate clauses as parallel tuples, in closure order.
 
-    clause: Clause
-    coverage: int
-    delta_rho: int
+    Entry i is the clause ``(masks[i], values[i])`` over the region's
+    ``width`` positions, the table rows it covers (``coverage[i]``, bit j
+    for row j) and its measure reduction ``delta_rho[i]``.  Only the
+    clauses a rule keeps become ``Clause`` objects (``clause``).
+    """
+
+    width: int
+    masks: tuple[int, ...]
+    values: tuple[int, ...]
+    coverage: tuple[int, ...]
+    delta_rho: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def clause(self, i: int) -> Clause:
+        return Clause(self.width, self.masks[i], self.values[i])
 
 
 def _pack_rows(matrix: np.ndarray) -> list[int]:
@@ -156,20 +174,19 @@ def delta_rho(masks, values, r: Region, m: Measure) -> list[int]:
     return (np.maximum(degree - 2, 0).sum() - left.sum(axis=1)).tolist()
 
 
-def build_candidates(table: BranchingTable, r: Region, m: Measure) -> list[CandidateClause]:
-    """Attach coverage and reduction to each candidate; drop degenerate ones."""
+def build_candidates(table: BranchingTable, r: Region, m: Measure) -> Candidates:
+    """The closure's clauses with their coverage and reduction, in closure
+    order, less the degenerate ones (a reduction of zero or less)."""
     entries = _closure(table)
     if not entries:
-        return []
+        return Candidates(table.width, (), (), (), ())
     masks, values, coverage = zip(*entries)
     if 0 in coverage:
         raise InternalError("candidate clause covers no row")
     drops = delta_rho(masks, values, r, m)
-    return [
-        CandidateClause(Clause(table.width, mask, vals), cov, drop)
-        for mask, vals, cov, drop in zip(masks, values, coverage, drops)
-        if drop > 0
-    ]
+    kept = [d > 0 for d in drops]
+    return Candidates(table.width, *(tuple(compress(column, kept))
+                                     for column in (masks, values, coverage, drops)))
 
 
 def _label(i: int, width: int) -> str:

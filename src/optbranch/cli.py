@@ -169,9 +169,9 @@ def _cmd_discover(args) -> int:
         configs = ", ".join(format(c, f"0{width}b")[::-1] for c in row)
         print(f"  row {key:>4}  alpha={alpha}  {{{configs}}}")
     print(f"candidate clauses ({len(cands)}):")
-    for i, cand in enumerate(cands, start=1):
-        rows = sorted(j + 1 for j in bits(cand.coverage))
-        print(f"  {i:>4}  J={rows}  drho={cand.delta_rho}  {render_clause(cand.clause)}")
+    for i in range(len(cands)):
+        rows = [j + 1 for j in bits(cands.coverage[i])]
+        print(f"  {i + 1:>4}  J={rows}  drho={cands.delta_rho[i]}  {render_clause(cands.clause(i))}")
     print(f"selected_ids: {[i + 1 for i in result.chosen_indices]}")
     print(f"optimal_rule: {render_dnf(result.rule)}")
     print(f"branching_vector: {list(result.branching_vector)}")

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .clauses import DNF, CandidateClause, build_candidates
+from .clauses import DNF, Candidates, build_candidates
 from .errors import InfeasibleError, InputError, InternalError
 from .graph import Measure, Region
-from .setcover import WmscInstance, solve_exact, solve_lp
+from .setcover import CoverProblem, solve_exact, solve_lp
 from .table import BranchingTable, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant
 
 GAMMA_TOL = 1e-12
@@ -67,7 +67,7 @@ def find_gamma(vector) -> float:
 
 
 def minimize_gamma(
-    candidates: list[CandidateClause],
+    candidates: Candidates,
     universe_size: int,
     solver: SolverKind = SolverKind.EXACT,
     seed: int = 0,
@@ -79,26 +79,32 @@ def minimize_gamma(
     until the fixed point, which the exact solver reaches at the provably
     minimal gamma.  The loop also stops at the first rule of one clause: its
     gamma is 1, which no rule beats, so that round's clause is returned.
-    Each round's cover is solved afresh, and ties between equally cheap
-    covers follow ``solve_exact``'s one rule: the greedy cover wins.  The
-    relaxed solver may wobble, so its best round wins.  Candidates that
-    cannot cover every row raise ``InfeasibleError`` from the solver's
-    feasibility check.
+
+    Every round runs at gamma > 1, where the weight gamma^-drho falls as
+    drho grows, so one ``CoverProblem`` built before the first round serves
+    them all: each coverage collapses to its candidate of largest drho,
+    lowest index on ties, and the covering lists and HiGHS matrix are built
+    once.  A round computes only its weights and its cover; no cover carries
+    over, and ties between equally cheap covers follow ``solve_exact``'s one
+    rule: the greedy cover wins.  The relaxed solver may wobble, so its best
+    round wins.  Candidates that cannot cover every row raise
+    ``InfeasibleError`` when the problem is built.
     """
     if not candidates:
         raise InfeasibleError("no candidate clauses")
-    sets = tuple(c.coverage for c in candidates)
+    drops = candidates.delta_rho
+    problem = CoverProblem(universe_size, candidates.coverage, [-d for d in drops])
+    exponents = [-float(drops[i]) for i in problem.indices]
     gamma_old = 2.0
     trail: list[float] = []
     best = None
     for round_no in range(MAX_ROUNDS):
-        weights = tuple(gamma_old ** -float(c.delta_rho) for c in candidates)
-        inst = WmscInstance(universe_size, sets, weights)
+        inst = problem.at(tuple(gamma_old ** e for e in exponents))
         if solver is SolverKind.EXACT:
             sol = solve_exact(inst)
         else:
             sol = solve_lp(inst, seed=(seed ^ (round_no * 0x9E3779B9)) & 0xFFFFFFFFFFFFFFFF)
-        vector = tuple(candidates[i].delta_rho for i in sol.chosen)
+        vector = tuple(drops[i] for i in sol.chosen)
         gamma_new = find_gamma(vector)
         trail.append(gamma_new)
         # the exact solver ends on its fixed point; the relaxed one keeps its best round
@@ -107,7 +113,7 @@ def minimize_gamma(
         if len(vector) == 1 or gamma_new >= gamma_old - GAMMA_TOL:
             gamma, chosen, vector = best
             return OptimalBranchingResult(
-                rule=DNF(tuple(candidates[i].clause for i in chosen)),
+                rule=DNF(tuple(candidates.clause(i) for i in chosen)),
                 chosen_indices=chosen,
                 branching_vector=vector,
                 gamma=gamma,
@@ -123,7 +129,7 @@ def optimal_rule(
     solver: SolverKind = SolverKind.EXACT,
     env_pruning: bool | None = None,
     seed: int = 0,
-) -> tuple[BranchingTable, list[CandidateClause], OptimalBranchingResult]:
+) -> tuple[BranchingTable, Candidates, OptimalBranchingResult]:
     """Full rule-synthesis pipeline for one region.
 
     Enumerates the alpha tensor, prunes it, groups the survivors, generates

@@ -1,9 +1,17 @@
 """Weighted minimum set cover: exact search and LP rounding.
 
 Universe elements are row indices 0..universe_size-1 and every set is a
-bitmask over them.  ``solve_exact`` is a proven-optimal search built around
-a greedy incumbent (weight per newly covered element, include-first): sets
-with identical coverage collapse to their cheapest representative and a
+bitmask over them.  A ``CoverProblem`` holds what does not depend on the
+weights: the cheapest representative of each distinct coverage, the
+elements of every set, the sets covering each element and the HiGHS 0/1
+matrix.  It serves every instance whose weights rank the sets alike, as the
+γ rounds of one rule's synthesis do (weights γ^-δρ at γ > 1); a standalone
+``WmscInstance`` gets a problem of its own.  So the structure carries over
+between the instances of one problem, but no cover does: each solve starts
+from its own greedy incumbent.
+
+``solve_exact`` is a proven-optimal search built around that greedy
+incumbent (weight per newly covered element, include-first), and a
 dual-ascent certificate settles easy instances outright.  Small instances
 then run an element-disjunction branch-and-bound whose nodes are cut with
 the stronger of the dual bound and the greedy fractional completion bound.
@@ -15,11 +23,10 @@ every cover.  When that bound reaches the incumbent, the incumbent is
 optimal; when the LP solution is integral, it is an optimal cover itself;
 only a fractional relaxation runs the mixed-integer program.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
-ties the same way: the greedy cover wins whenever it is optimal.  Each call
-stands alone; no cover carries over from an earlier one.  ``solve_lp``
-solves the same HiGHS relaxation and rounds it with seeded inclusion trials,
-each completed by the same greedy cover and stripped of redundant sets by
-per-element cover counts.
+ties the same way: the greedy cover wins whenever it is optimal.
+``solve_lp`` solves the same HiGHS relaxation and rounds it with seeded
+inclusion trials, each completed by the same greedy cover and stripped of
+redundant sets by per-element cover counts.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError, InternalError
-from .graph import bit_matrix, bits
+from .graph import bit_matrix
 
 PRUNE_TOL = 1e-12
 
@@ -59,21 +66,14 @@ class WmscInstance:
     def __post_init__(self):
         if len(self.sets) != len(self.weights):
             raise InputError("sets and weights must have equal length")
-        if any(w <= 0 for w in self.weights):
-            raise InputError("set weights must be positive")
+        if not all(0 < w < math.inf for w in self.weights):
+            raise InputError("set weights must be positive and finite")
         full = (1 << self.universe_size) - 1
         if any(cov & ~full for cov in self.sets):
             raise InputError("set covers an element outside the universe")
 
     def full_mask(self) -> int:
         return (1 << self.universe_size) - 1
-
-    def check_feasible(self) -> None:
-        union = 0
-        for cov in self.sets:
-            union |= cov
-        if union != self.full_mask():
-            raise InfeasibleError("sets do not cover the universe")
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,93 @@ class WmscSolution:
     lp_bound: float | None = None
 
 
-def _collapse(inst: WmscInstance):
-    """Cheapest representative per distinct coverage, ordered by index."""
-    reps: dict[int, tuple[float, int]] = {}
-    for idx, (cov, w) in enumerate(zip(inst.sets, inst.weights)):
-        cur = reps.get(cov)
-        if cur is None or (w, idx) < cur:
-            reps[cov] = (w, idx)
-    order = sorted((idx, cov, w) for cov, (w, idx) in reps.items())
-    covs = [cov for _, cov, _ in order]
-    weights = [w for _, _, w in order]
-    indices = [idx for idx, _, _ in order]
-    return covs, weights, indices
+class CoverProblem:
+    """The weight-independent part of covering instances over the same sets.
+
+    ``costs`` rank the sets as the weights of every instance will: each
+    instance weighs set i by f(costs[i]) for one increasing f.  So every
+    instance has the same cheapest set per coverage, the one of least cost
+    with the lowest index on ties, and the same anchor set (see
+    ``_anchor_scale``).  The problem keeps only those representatives, in
+    index order, and for them:
+
+    - ``elements[j]``, the elements of set j in ascending order;
+    - ``covering[e]``, the sets covering element e in ascending order, and
+      ``dual_order``, the elements by (number of covering sets, element);
+    - ``matrix``, the 0/1 element-by-set matrix that HiGHS is given.
+
+    An instance (``at``) weighs the representatives only; every solution
+    names sets by their index in ``sets`` as given.
+    """
+
+    def __init__(self, universe_size: int, sets, costs):
+        reps: dict[int, int] = {}
+        for idx, cov in enumerate(sets):
+            cur = reps.get(cov)
+            if cur is None or costs[idx] < costs[cur]:
+                reps[cov] = idx
+        self.universe_size = universe_size
+        self.full = (1 << universe_size) - 1
+        self.n_given = len(sets)
+        self.indices = sorted(reps.values())
+        self.sets = tuple(sets[i] for i in self.indices)
+        self.matrix = bit_matrix(self.sets, universe_size).T
+        per_set = np.count_nonzero(self.matrix, axis=0).tolist()
+        per_element = np.count_nonzero(self.matrix, axis=1).tolist()
+        if 0 in per_element:
+            raise InfeasibleError("sets do not cover the universe")
+        self.elements = _split(np.nonzero(self.matrix.T)[1].tolist(), per_set)
+        self.covering = _split(np.nonzero(self.matrix)[1].tolist(), per_element)
+        self.dual_order = sorted(range(universe_size), key=lambda e: (per_element[e], e))
+        rank = [costs[i] for i in self.indices].__getitem__
+        self.anchor = max((min(members, key=rank) for members in self.covering), key=rank,
+                          default=None)
+
+    def at(self, weights: tuple[float, ...]) -> PreparedInstance:
+        """The instance that weighs representative j by ``weights[j]``."""
+        return PreparedInstance(self, weights)
+
+    def solution(self, chosen, weights, lp_bound=None) -> WmscSolution:
+        """The cover of representatives ``chosen``, named by given index."""
+        chosen = sorted(chosen)
+        return WmscSolution(tuple(self.indices[j] for j in chosen),
+                            sum(weights[j] for j in chosen), lp_bound)
+
+
+@dataclass(frozen=True)
+class PreparedInstance:
+    """One instance of a ``CoverProblem``: a weight per representative, in
+    the order of ``problem.sets``.  Its ``universe_size`` and ``sets`` are
+    the problem's."""
+
+    problem: CoverProblem
+    weights: tuple[float, ...]
+
+    @property
+    def universe_size(self) -> int:
+        return self.problem.universe_size
+
+    @property
+    def sets(self) -> tuple[int, ...]:
+        return self.problem.sets
+
+
+def _split(flat: list, counts) -> list[list]:
+    """``flat`` cut into consecutive runs of the given lengths."""
+    runs = []
+    start = 0
+    for count in counts:
+        runs.append(flat[start:start + count])
+        start += count
+    return runs
+
+
+def _prepared(inst: WmscInstance | PreparedInstance) -> PreparedInstance:
+    """A standalone instance as the one instance of its own problem."""
+    if isinstance(inst, PreparedInstance):
+        return inst
+    problem = CoverProblem(inst.universe_size, inst.sets, inst.weights)
+    return problem.at(tuple(inst.weights[i] for i in problem.indices))
 
 
 def _greedy_cover(covs, weights, full):
@@ -105,105 +180,108 @@ def _greedy_cover(covs, weights, full):
     uncov = full
     chosen = []
     total = 0.0
+    # the sets that still cover an uncovered element, in index order
+    live = range(len(covs))
     while uncov:
         best = -1
-        best_ratio = math.inf
-        for i, cov in enumerate(covs):
-            new = cov & uncov
-            if not new:
-                continue
-            ratio = weights[i] / new.bit_count()
-            if ratio < best_ratio - PRUNE_TOL:
-                best_ratio = ratio
-                best = i
+        cutoff = math.inf
+        still = []
+        for i in live:
+            new = covs[i] & uncov
+            if new:
+                still.append(i)
+                ratio = weights[i] / new.bit_count()
+                if ratio < cutoff:
+                    cutoff = ratio - PRUNE_TOL
+                    best = i
         if best < 0:
             raise InfeasibleError("sets do not cover the universe")
         chosen.append(best)
         total += weights[best]
         uncov &= ~covs[best]
+        live = still
     return chosen, total
 
 
-def _covering_lists(covs, universe_size):
-    covering = [[] for _ in range(universe_size)]
-    for i, cov in enumerate(covs):
-        for e in bits(cov):
-            covering[e].append(i)
-    return covering
-
-
-def _dual_ascent(covs, weights, universe_size, covering):
+def _dual_ascent(problem: CoverProblem, weights):
     """Feasible duals: raise y_e, scarcest elements first, inside set slacks."""
     slack = list(weights)
-    y = [0.0] * universe_size
-    for e in sorted(range(universe_size), key=lambda e: (len(covering[e]), e)):
-        if not covering[e]:
-            raise InfeasibleError("an element has no covering set")
-        lift = min(slack[i] for i in covering[e])
+    y = [0.0] * problem.universe_size
+    for e in problem.dual_order:
+        sets = problem.covering[e]
+        lift = min(map(slack.__getitem__, sets))
         if lift > 0.0:
             y[e] = lift
-            for i in covering[e]:
+            for i in sets:
                 slack[i] -= lift
     return y
 
 
-def _bnb_python(covs, weights, universe_size, y, incumbent):
+def _bnb_python(problem: CoverProblem, weights, y, incumbent):
     """Element-disjunction search; children ordered by ratio then index.
 
-    ``incumbent`` is (objective, chosen-list); only strictly better covers
-    replace it, so the greedy solution wins all exact ties.  Returns the
-    chosen set indices of the best cover found.
+    A node lists its uncovered elements in ascending order.  It is cut when
+    either of two lower bounds on its subtree comes within ``PRUNE_TOL`` of
+    the incumbent: the dual bound (its weight plus the duals of those
+    elements), tested before the node is entered, and the fractional bound
+    (its weight plus, per element, the cheapest ratio weight / newly covered
+    elements among the sets still open to it).  It branches on the element
+    with the fewest open sets, lowest first; a child's set and its earlier
+    siblings are closed to the child's subtree.  ``incumbent`` is
+    (objective, chosen-list); only strictly better covers replace it, so the
+    greedy solution wins all exact ties.  Returns the chosen set indices of
+    the best cover found.
     """
+    covs, covering = problem.sets, problem.covering
     best_obj, best_sol = incumbent
     best_sol = list(best_sol)
-    full = (1 << universe_size) - 1
+    chosen = []
 
-    def descend(uncov, weight, avail, chosen):
+    def dual_cut(weight, left):
+        for e in left:
+            weight += y[e]
+        return weight >= best_obj - PRUNE_TOL
+
+    def descend(uncov, left, weight, closed):
         nonlocal best_obj, best_sol
-        if uncov == 0:
-            if weight < best_obj - PRUNE_TOL:
-                best_obj = weight
-                best_sol = list(chosen)
-            return
-        ydual = weight
-        for e in bits(uncov):
-            ydual += y[e]
-        if ydual >= best_obj - PRUNE_TOL:
-            return
-        avail = [i for i in avail if covs[i] & uncov]
-        count = {}
-        frac = {}
-        for i in avail:
-            new = covs[i] & uncov
-            ratio = weights[i] / new.bit_count()
-            for e in bits(new):
-                count[e] = count.get(e, 0) + 1
-                if ratio < frac.get(e, math.inf):
-                    frac[e] = ratio
+        cutoff = best_obj - PRUNE_TOL
         bound = weight
         branch_e = -1
         branch_count = math.inf
-        for e in bits(uncov):
-            if e not in count:
+        for e in left:
+            ratios = [weights[i] / (covs[i] & uncov).bit_count()
+                      for i in covering[e] if not closed >> i & 1]
+            if not ratios:
                 return
-            bound += frac[e]
-            if count[e] < branch_count:
-                branch_count = count[e]
+            # the terms are nonnegative, so a partial sum at the cutoff
+            # already cuts the node
+            bound += min(ratios)
+            if bound >= cutoff:
+                return
+            if len(ratios) < branch_count:
+                branch_count = len(ratios)
                 branch_e = e
-        if bound >= best_obj - PRUNE_TOL:
-            return
-        children = sorted(
-            (i for i in avail if (covs[i] >> branch_e) & 1),
-            key=lambda i: (weights[i] / (covs[i] & uncov).bit_count(), i),
-        )
-        remaining = avail
-        for child in children:
-            remaining = [i for i in remaining if i != child]
+        children = sorted((weights[i] / (covs[i] & uncov).bit_count(), i)
+                          for i in covering[branch_e] if not closed >> i & 1)
+        for _ratio, child in children:
+            closed |= 1 << child
+            rest = uncov & ~covs[child]
+            child_weight = weight + weights[child]
+            if not rest:
+                if child_weight < best_obj - PRUNE_TOL:
+                    best_obj = child_weight
+                    best_sol = chosen + [child]
+                continue
+            child_left = [e for e in left if rest >> e & 1]
+            if dual_cut(child_weight, child_left):
+                continue
             chosen.append(child)
-            descend(uncov & ~covs[child], weight + weights[child], remaining, chosen)
+            descend(rest, child_left, child_weight, closed)
             chosen.pop()
 
-    descend(full, 0.0, list(range(len(covs))), [])
+    root = list(range(problem.universe_size))
+    if not dual_cut(0.0, root):
+        descend(problem.full, root, 0.0, 0)
     return best_sol
 
 
@@ -222,8 +300,10 @@ def _cover_relaxation(matrix, cost):
     return res.x, res.fun
 
 
-def _mip_cover(covs, weights, universe_size, incumbent):
+def _mip_cover(covs, weights, universe_size, incumbent, *, matrix):
     """Exact cover over the sets lighter than the incumbent, LP first.
+
+    ``matrix`` is the 0/1 element-by-set matrix of ``covs``.
 
     A cover strictly cheaper than the incumbent holds no set that alone
     weighs as much, so those columns are dropped before any solve; when the
@@ -249,17 +329,14 @@ def _mip_cover(covs, weights, universe_size, incumbent):
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     best_obj, best_sol = incumbent
-    keep = [j for j, w in enumerate(weights) if w < best_obj]
-    union = 0
-    for j in keep:
-        union |= covs[j]
-    full = (1 << universe_size) - 1
-    if union != full:
+    weight = np.array(weights)
+    keep = np.flatnonzero(weight < best_obj)
+    matrix = matrix[:, keep]
+    if not matrix.any(axis=1).all():
         return list(best_sol)
 
     lift = 2.0 ** (MIP_LIFT_EXP - math.frexp(best_obj)[1])
-    matrix = bit_matrix([covs[j] for j in keep], universe_size).T
-    cost = np.array([weights[j] for j in keep]) * lift
+    cost = weight[keep] * lift
     cutoff = best_obj * lift - MIP_ABS_GAP
     x, lp_obj = _cover_relaxation(matrix, cost)
     if lp_obj >= cutoff:
@@ -271,87 +348,83 @@ def _mip_cover(covs, weights, universe_size, incumbent):
         if res.status != 0:
             raise InternalError(f"set-cover MIP failed: {res.message}")
         x = res.x
-    chosen = [keep[int(j)] for j in np.nonzero(x > 0.5)[0]]
+    chosen = keep[x > 0.5].tolist()
     got = 0
     for j in chosen:
         got |= covs[j]
-    if got != full:
+    if got != (1 << universe_size) - 1:
         raise InternalError("HiGHS returned a non-cover")
     if sum(weights[j] for j in chosen) * lift < cutoff:
         return chosen
     return list(best_sol)
 
 
-def _anchor_scale(weights, covering):
+def _anchor_scale(problem: CoverProblem, weights):
     """Exact power of two that puts ``low`` in [0.5, 1).
 
-    ``low`` is the largest over elements of the cheapest set covering it:
-    every cover pays at least ``low``, and the cheapest sets of all elements
-    together cover for at most universe * low, so absolute tolerances after
-    this rescale stay relative to the optimum at any weight scale.  Returns
-    ``(scale, low)``.
+    ``low`` is the largest over elements of the cheapest set covering it,
+    the weight of the problem's anchor set: every cover pays at least
+    ``low``, and the cheapest sets of all elements together cover for at
+    most universe * low, so absolute tolerances after this rescale stay
+    relative to the optimum at any weight scale.  Returns ``(scale, low)``.
     """
-    low = max((min(weights[i] for i in sets) for sets in covering), default=1.0)
+    low = 1.0 if problem.anchor is None else weights[problem.anchor]
     return 2.0 ** -math.frexp(low)[1], low
 
 
-def solve_exact(inst: WmscInstance) -> WmscSolution:
+def solve_exact(inst: WmscInstance | PreparedInstance) -> WmscSolution:
     """Minimum-weight cover; deterministic, exact within the stated tolerances.
 
-    Sets with equal coverage collapse to their cheapest representative.  The
-    greedy cover is the incumbent and is returned outright when the dual
-    ascent certifies it.  Otherwise up to ``SMALL_SET_LIMIT`` distinct sets
-    run the Python branch-and-bound, and wider instances go to HiGHS over
-    the sets lighter than the incumbent, with weights lifted by an exact
-    power of two: the LP relaxation first, and the MIP only when the
-    relaxation is fractional (see ``_mip_cover``).  Only a strictly cheaper
-    cover replaces the incumbent, so of several tied optima the greedy cover
-    wins whenever it is one of them: the one tie rule of every path.
+    Sets with equal coverage collapse to their cheapest representative, once
+    per ``CoverProblem``.  The greedy cover is the incumbent and is returned
+    outright when the dual ascent certifies it.  Otherwise up to
+    ``SMALL_SET_LIMIT`` distinct sets run the Python branch-and-bound, and
+    wider instances go to HiGHS over the sets lighter than the incumbent,
+    with weights lifted by an exact power of two: the LP relaxation first,
+    and the MIP only when the relaxation is fractional (see ``_mip_cover``).
+    Only a strictly cheaper cover replaces the incumbent, so of several tied
+    optima the greedy cover wins whenever it is one of them: the one tie
+    rule of every path.
     """
-    inst.check_feasible()
-    universe = inst.universe_size
-    covs, weights, indices = _collapse(inst)
-    covering = _covering_lists(covs, universe)
-    scale, _low = _anchor_scale(weights, covering)
+    prepared = _prepared(inst)
+    problem, weights = prepared.problem, prepared.weights
+    scale, _low = _anchor_scale(problem, weights)
     work_w = [w * scale for w in weights]
-    full = (1 << universe) - 1
 
-    greedy_sol, greedy_obj = _greedy_cover(covs, work_w, full)
-    y = _dual_ascent(covs, work_w, universe, covering)
+    greedy_sol, greedy_obj = _greedy_cover(problem.sets, work_w, problem.full)
+    y = _dual_ascent(problem, work_w)
     incumbent = (greedy_obj, greedy_sol)
     if greedy_obj <= sum(y) + PRUNE_TOL:
         chosen = greedy_sol
-    elif len(covs) <= SMALL_SET_LIMIT:
-        chosen = _bnb_python(covs, work_w, universe, y, incumbent)
+    elif len(problem.sets) <= SMALL_SET_LIMIT:
+        chosen = _bnb_python(problem, work_w, y, incumbent)
     else:
-        chosen = _mip_cover(covs, work_w, universe, incumbent)
-
-    picked = tuple(sorted(indices[i] for i in chosen))
-    objective = sum(inst.weights[i] for i in picked)
-    return WmscSolution(picked, objective)
+        chosen = _mip_cover(problem.sets, work_w, problem.universe_size, incumbent,
+                            matrix=problem.matrix)
+    return problem.solution(chosen, weights)
 
 
-def _drop_redundant(sets, weights, picked, universe_size):
+def _drop_redundant(elements, weights, picked, universe_size):
     """Drop picked sets, heaviest first, while the rest still cover.
 
-    ``picked`` covers the universe, so a set is redundant exactly when every
-    element it covers is covered at least twice.  Returns the kept indices
-    in ascending order.
+    ``elements[i]`` lists the elements of set i.  ``picked`` covers the
+    universe, so a set is redundant exactly when every element it covers is
+    covered at least twice.  Returns the kept indices in ascending order.
     """
     count = [0] * universe_size
     for i in picked:
-        for e in bits(sets[i]):
+        for e in elements[i]:
             count[e] += 1
     kept = set(picked)
     for i in sorted(picked, key=lambda i: (-weights[i], -i)):
-        if all(count[e] >= 2 for e in bits(sets[i])):
+        if all(count[e] >= 2 for e in elements[i]):
             kept.remove(i)
-            for e in bits(sets[i]):
+            for e in elements[i]:
                 count[e] -= 1
     return sorted(kept)
 
 
-def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
+def solve_lp(inst: WmscInstance | PreparedInstance, seed: int) -> WmscSolution:
     """LP relaxation plus the best of ``LP_TRIALS`` seeded rounding attempts
     (one when the relaxation is integral, as every attempt would agree).
 
@@ -359,24 +432,24 @@ def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
     over the same cheapest representative per coverage.  Representatives
     heavier than universe * low are left out too: the cheapest sets of all
     elements cover for no more, so the optimum is unchanged, and every cost
-    stays below the universe size.  Each trial picks every set whose uniform
-    draw falls below its fractional value, completes the pick with
-    ``solve_exact``'s greedy cover of the elements left uncovered, and drops
-    redundant picks, heaviest first.  The returned objective is an upper
-    bound and ``lp_bound`` the LP lower bound.
+    stays below the universe size.  Each trial draws one uniform number per
+    set as given, picks every representative whose draw falls below its
+    fractional value, completes the pick with ``solve_exact``'s greedy cover
+    of the elements left uncovered, and drops redundant picks, heaviest
+    first.  The returned objective is an upper bound and ``lp_bound`` the LP
+    lower bound.
     """
-    inst.check_feasible()
-    universe = inst.universe_size
-    covs, weights, indices = _collapse(inst)
-    scale, low = _anchor_scale(weights, _covering_lists(covs, universe))
-    scaled = [w * scale for w in inst.weights]
-    keep = [indices[i] for i, w in enumerate(weights) if w <= universe * low]
-    x = np.zeros(len(inst.sets))
-    x[keep], lp_obj = _cover_relaxation(
-        bit_matrix([inst.sets[i] for i in keep], universe).T,
-        np.array([scaled[i] for i in keep]),
-    )
-    full = inst.full_mask()
+    prepared = _prepared(inst)
+    problem, weights = prepared.problem, prepared.weights
+    universe = problem.universe_size
+    sets = problem.sets
+    scale, low = _anchor_scale(problem, weights)
+    scaled = [w * scale for w in weights]
+    keep = [j for j, w in enumerate(weights) if w <= universe * low]
+    x = np.zeros(len(sets))
+    x[keep], lp_obj = _cover_relaxation(problem.matrix[:, keep],
+                                        np.array([scaled[j] for j in keep]))
+    given = np.array(problem.indices)
     best_picked = None
     best_obj = math.inf
     # a draw lies in [0, 1), so when no x is strictly between 0 and 1 every
@@ -384,15 +457,14 @@ def solve_lp(inst: WmscInstance, seed: int) -> WmscSolution:
     trials = LP_TRIALS if ((x > 0) & (x < 1)).any() else 1
     for trial in range(trials):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
-        picked = (rng.random(len(inst.sets)) < x).nonzero()[0].tolist()
+        picked = (rng.random(problem.n_given)[given] < x).nonzero()[0].tolist()
         covered = 0
-        for i in picked:
-            covered |= inst.sets[i]
-        repair, _ = _greedy_cover(inst.sets, scaled, full & ~covered)
-        picked = _drop_redundant(inst.sets, scaled, picked + repair, universe)
-        obj = sum(scaled[i] for i in picked)
+        for j in picked:
+            covered |= sets[j]
+        repair, _ = _greedy_cover(sets, scaled, problem.full & ~covered)
+        picked = _drop_redundant(problem.elements, scaled, picked + repair, universe)
+        obj = sum(scaled[j] for j in picked)
         if obj < best_obj - PRUNE_TOL:
             best_obj = obj
-            best_picked = tuple(picked)
-    return WmscSolution(best_picked, sum(inst.weights[i] for i in best_picked),
-                        lp_bound=lp_obj / scale)
+            best_picked = picked
+    return problem.solution(best_picked, weights, lp_bound=lp_obj / scale)

@@ -300,14 +300,14 @@ def minimize_gamma_bisection(candidates, universe_size, eps=1e-6):
     if not candidates:
         raise InfeasibleError("no candidate clauses")
     union = 0
-    for c in candidates:
-        union |= c.coverage
+    for cov in candidates.coverage:
+        union |= cov
     if union != (1 << universe_size) - 1:
         raise InfeasibleError("candidate clauses cannot cover the branching table")
-    sets = tuple(c.coverage for c in candidates)
+    sets = candidates.coverage
 
     def covered_within_one(gamma):
-        weights = tuple(gamma ** -float(c.delta_rho) for c in candidates)
+        weights = tuple(gamma ** -float(d) for d in candidates.delta_rho)
         sol = solve_exact(WmscInstance(universe_size, sets, weights))
         return sol.objective <= 1.0 + 1e-12
 

@@ -50,7 +50,8 @@ def test_criterion_1_fig1_pipeline_golden():
         assert got_rows[string_to_config(s)] == want
     cands = build_candidates(table, region, Measure.VERTEX_COUNT)
     key_to_row = {key: i for i, key in enumerate(table.row_keys)}
-    got = {(render_clause(c.clause), c.coverage, c.delta_rho) for c in cands}
+    got = {(render_clause(cands.clause(i)), cands.coverage[i], cands.delta_rho[i])
+           for i in range(len(cands))}
     want = set()
     for text, rows, drho in FIG1_CANDIDATES:
         cov = 0
@@ -95,7 +96,8 @@ def test_criterion_3_ph2_discovery():
     }
     assert got_rows == want_rows
     key_to_row = {key: i for i, key in enumerate(table.row_keys)}
-    got = {(render_clause(c.clause), c.coverage, c.delta_rho) for c in cands}
+    got = {(render_clause(cands.clause(i)), cands.coverage[i], cands.delta_rho[i])
+           for i in range(len(cands))}
     want = set()
     for text, rows, drho in PH2_CANDIDATES:
         cov = 0

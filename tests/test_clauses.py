@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from optbranch import engine
 from optbranch.clauses import (
-    CandidateClause, Clause, DNF, _closure, build_candidates, delta_rho, render_clause,
+    Candidates, Clause, DNF, _closure, build_candidates, delta_rho, render_clause,
     render_dnf,
 )
 from optbranch.engine import SolveConfig, mis_branch
@@ -143,9 +143,10 @@ class TestCandidateClauses:
     def test_fig1_matches_published_candidates(self):
         table = fig1_table()
         region = fig1_region()
+        cands = build_candidates(table, region, Measure.VERTEX_COUNT)
         got = {
-            (render_clause(c.clause), c.coverage, c.delta_rho)
-            for c in build_candidates(table, region, Measure.VERTEX_COUNT)
+            (render_clause(cands.clause(i)), cands.coverage[i], cands.delta_rho[i])
+            for i in range(len(cands))
         }
         key_to_row = {key: i for i, key in enumerate(table.row_keys)}
         want = set()
@@ -208,9 +209,8 @@ class TestDeltaRho:
         r = region_of(g, [0], boundary=[0])
         assert drops([Clause(1, 1, 0)], r, Measure.EFFECTIVE_DEGREE) == [0]
         table = BranchingTable(1, ((0,),), (0,), (0,))
-        assert build_candidates(table, r, Measure.EFFECTIVE_DEGREE) == []
-        assert build_candidates(table, r, Measure.VERTEX_COUNT) == [
-            CandidateClause(Clause(1, 1, 0), 1, 1)]
+        assert build_candidates(table, r, Measure.EFFECTIVE_DEGREE) == Candidates(1, (), (), (), ())
+        assert build_candidates(table, r, Measure.VERTEX_COUNT) == Candidates(1, (1,), (0,), (1,), (1,))
 
     @given(clauses_strategy())
     @settings(max_examples=60, deadline=None)
@@ -251,16 +251,18 @@ class TestArraysMatchOracles:
                     assert drops(clauses, r, m) == want
                     degenerate += sum(d <= 0 for d in want)
                     checked += len(want)
-                    assert build_candidates(table, r, m) == [
-                        CandidateClause(Clause(width, mk, v), cov, d)
-                        for (mk, v, cov), d in zip(entries, want)
-                        if d > 0
-                    ]
+                    kept = [(mk, v, cov, d) for (mk, v, cov), d in zip(entries, want) if d > 0]
+                    columns = tuple(zip(*kept)) or ((),) * 4
+                    assert build_candidates(table, r, m) == Candidates(width, *columns)
         assert checked > 2000 and degenerate > 50
 
 
+def candidate_rows(cands):
+    return list(zip(cands.masks, cands.values, cands.coverage, cands.delta_rho))
+
+
 def candidate_digest(cands):
-    rows = [(c.clause.mask, c.clause.values, c.coverage, c.delta_rho) for c in cands]
+    rows = candidate_rows(cands)
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -320,8 +322,7 @@ class TestCandidatePins:
 
             def record(*args, **kwargs):
                 table, cands, result = synthesize(*args, **kwargs)
-                rows = [(c.clause.mask, c.clause.values, c.coverage, c.delta_rho) for c in cands]
-                seen.append((rows, result.chosen_indices))
+                seen.append((candidate_rows(cands), result.chosen_indices))
                 return table, cands, result
 
             monkeypatch.setattr(engine, "optimal_rule", record)

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optbranch import _kernels, engine
 from optbranch.bench import BenchSpec, run_bench
@@ -10,7 +11,7 @@ from optbranch.engine import (
 )
 from optbranch.errors import InputError, InternalError
 from optbranch.generators import erdos_renyi, kings_subgraph, three_regular
-from optbranch.graph import Graph, bits, induced_delete
+from optbranch.graph import Graph, Measure, bits, induced_delete
 from optbranch.optimize import SolverKind
 
 from oracles import edges, oracle_mis, oracle_mis_set
@@ -275,14 +276,19 @@ class TestMisBranch:
         for (size, gamma) in rep.rule_stats:
             assert size >= 1 and gamma >= 1.0
 
-    def test_env_pruning_flag_keeps_correctness(self):
-        rng = np.random.default_rng(103)
-        for _ in range(15):
-            g = random_graph(rng, int(rng.integers(4, 15)), 0.3)
-            want = oracle_mis(g)
-            for flag in (True, False):
-                rep = mis_branch(g, SolveConfig(env_pruning=flag))
-                assert rep.mis_size == want
+    @given(st.integers(1, 18), st.floats(0.1, 0.6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_env_pruning_flag_keeps_correctness(self, n, p, seed):
+        g = random_graph(np.random.default_rng(seed), n, p)
+        want = oracle_mis(g)
+        for flag in (True, False):
+            for kind in SolverKind:
+                for measure in Measure:
+                    rep = mis_branch(g, SolveConfig(measure=measure, solver_kind=kind,
+                                                    env_pruning=flag, seed=seed))
+                    assert rep.mis_size == want, (flag, kind, measure)
+                    assert g.is_independent(rep.witness)
+                    assert len(rep.witness) == want
 
     def test_node_count_is_synthesized_rules(self, monkeypatch):
         real = engine.optimal_rule

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optbranch import InfeasibleError, InputError, optimize
-from optbranch.clauses import CandidateClause, Clause, build_candidates, render_clause
+from optbranch.clauses import Candidates, build_candidates, render_clause
 from optbranch.graph import Graph, Measure, region_of
 from optbranch.optimize import SolverKind, find_gamma, minimize_gamma, optimal_rule
 from optbranch.table import alpha_tensor, boundary_grouped, prune_irrelevant
@@ -90,19 +90,15 @@ class TestMinimizeGamma:
         assert abs(total - 1.0) < 1e-10
 
     def test_uncoverable_universe_raises(self):
-        cands = [CandidateClause(Clause(2, 0b11, 0b00), 0b01, 2)]
+        cands = Candidates(2, (0b11,), (0b00,), (0b01,), (2,))
         with pytest.raises(InfeasibleError):
             minimize_gamma(cands, 2)
 
     def test_stops_at_first_single_clause(self, monkeypatch):
         # at gamma 2 the cover is the full clause of drho 5 alone; a second
         # round at gamma 1 would weigh every clause 1 and take index 0 instead
-        cands = [
-            CandidateClause(Clause(2, 0b01, 0b00), 0b11, 2),
-            CandidateClause(Clause(2, 0b11, 0b00), 0b11, 5),
-            CandidateClause(Clause(2, 0b11, 0b01), 0b01, 5),
-            CandidateClause(Clause(2, 0b11, 0b10), 0b10, 5),
-        ]
+        cands = Candidates(2, masks=(0b01, 0b11, 0b11, 0b11), values=(0b00, 0b00, 0b01, 0b10),
+                           coverage=(0b11, 0b11, 0b01, 0b10), delta_rho=(2, 5, 5, 5))
         calls = []
         solve_exact = optimize.solve_exact
 
@@ -144,9 +140,9 @@ class TestMinimizeGamma:
                 for combo in itertools.combinations(range(len(cands)), k):
                     cov = 0
                     for i in combo:
-                        cov |= cands[i].coverage
+                        cov |= cands.coverage[i]
                     if cov == full:
-                        best = min(best, find_gamma([cands[i].delta_rho for i in combo]))
+                        best = min(best, find_gamma([cands.delta_rho[i] for i in combo]))
             assert res.gamma <= best + 1e-9
 
     def test_exact_beats_naive_rule(self):
@@ -157,11 +153,8 @@ class TestMinimizeGamma:
             # one longest clause per row is always a valid rule
             naive = []
             for i in range(len(table)):
-                best = max(
-                    (c for c in cands if (c.coverage >> i) & 1),
-                    key=lambda c: c.delta_rho,
-                )
-                naive.append(best.delta_rho)
+                naive.append(max(d for cov, d in zip(cands.coverage, cands.delta_rho)
+                                 if (cov >> i) & 1))
             assert res.gamma <= find_gamma(naive) + 1e-9
 
     def test_lp_never_beats_exact(self):
@@ -179,7 +172,7 @@ class TestBisection:
         assert abs(minimize_gamma_bisection(cands, len(table)) - FIG1_GAMMA) < 1e-4
 
     def test_single_full_cover_collapses_to_one(self):
-        cands = [CandidateClause(Clause(2, 0b01, 0b00), 0b11, 3)]
+        cands = Candidates(2, (0b01,), (0b00,), (0b11,), (3,))
         assert minimize_gamma_bisection(cands, 2) == 1.0
 
     def test_agrees_with_fixed_point_on_random_tables(self):

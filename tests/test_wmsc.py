@@ -1,13 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scipy.optimize
 
-from optbranch import InfeasibleError, InputError, InternalError, setcover
+from optbranch import InfeasibleError, InputError, InternalError, optimize, setcover
+from optbranch.clauses import Candidates
+from optbranch.optimize import SolverKind, minimize_gamma
 from optbranch.setcover import (
-    SMALL_SET_LIMIT, WmscInstance, WmscSolution, solve_exact, solve_lp,
+    SMALL_SET_LIMIT, CoverProblem, WmscInstance, WmscSolution, solve_exact, solve_lp,
 )
 
 from oracles import is_cover, oracle_set_cover, oracle_set_cover_dp
@@ -105,9 +109,9 @@ def record_exits(monkeypatch):
         integral_calls.append(bool(np.any(integrality)))
         return real_milp(c, integrality=integrality, **kwargs)
 
-    def mip_cover(covs, weights, universe_size, incumbent):
+    def mip_cover(covs, weights, universe_size, incumbent, **kwargs):
         integral_calls.clear()
-        chosen = real_mip_cover(covs, weights, universe_size, incumbent)
+        chosen = real_mip_cover(covs, weights, universe_size, incumbent, **kwargs)
         if any(integral_calls):
             exits.append("c")
         elif integral_calls:
@@ -187,6 +191,9 @@ class TestSolveExact:
     def test_weights_must_be_positive(self):
         with pytest.raises(InputError):
             WmscInstance(2, (0b11,), (0.0,))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                solve_exact(WmscInstance(2, (1, 2, 3), (1.0, 1.0, bad)))
 
 
 class TestWidePath:
@@ -384,3 +391,76 @@ def test_solution_covers_helper():
     inst = WmscInstance(2, (0b01, 0b10), (1.0, 1.0))
     assert is_cover(WmscSolution((0, 1), 2.0), inst)
     assert not is_cover(WmscSolution((0,), 1.0), inst)
+
+
+@st.composite
+def rule_covers(draw):
+    """(universe, coverage, δρ) of one rule's candidates: coverages drawn
+    from a small pool, so they repeat, and δρ from a narrow range, so they
+    tie; a singleton is added for each row the draws leave uncovered."""
+    universe = draw(st.integers(1, 8))
+    full = (1 << universe) - 1
+    pool = draw(st.lists(st.integers(1, full), min_size=1, max_size=16))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 8)),
+                          min_size=1, max_size=40))
+    covered = 0
+    for cov, _ in picks:
+        covered |= cov
+    picks += [(1 << e, draw(st.integers(1, 8)))
+              for e in range(universe) if not (covered >> e) & 1]
+    coverage, drops = zip(*picks)
+    return universe, coverage, drops
+
+
+def record_rounds(name):
+    """Wrap ``optimize.<name>`` to record each round's (args, solution)."""
+    real = getattr(optimize, name)
+    rounds = []
+
+    def spy(inst, *args, **kwargs):
+        sol = real(inst, *args, **kwargs)
+        rounds.append((args, kwargs, sol))
+        return sol
+
+    return mock.patch.object(optimize, name, spy), rounds
+
+
+class TestCoverProblem:
+    """One problem per rule gives, at every γ of the rule's trail, the
+    cover that a standalone instance over all candidates gives."""
+
+    @pytest.mark.parametrize("limit", [SMALL_SET_LIMIT, 0])  # 0: every search goes to HiGHS
+    @given(rule_covers())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_rounds_match_one_shot(self, limit, case):
+        universe, coverage, drops = case
+        cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), coverage, drops)
+        patch, rounds = record_rounds("solve_exact")
+        with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit), patch:
+            res = minimize_gamma(cands, universe)
+            gammas = (2.0,) + res.gamma_trail[:-1]
+            assert len(rounds) == len(gammas)
+            for gamma, (_args, _kwargs, sol) in zip(gammas, rounds):
+                weights = tuple(gamma ** -float(d) for d in drops)
+                assert sol == solve_exact(WmscInstance(universe, coverage, weights))
+
+    @given(rule_covers())
+    @settings(max_examples=40, deadline=None)
+    def test_lp_rounds_match_one_shot(self, case):
+        universe, coverage, drops = case
+        cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), coverage, drops)
+        patch, rounds = record_rounds("solve_lp")
+        with patch:
+            res = minimize_gamma(cands, universe, SolverKind.LP_RELAXED, seed=7)
+            gammas = (2.0,) + res.gamma_trail[:-1]
+            assert len(rounds) == len(gammas)
+            for gamma, (_args, kwargs, sol) in zip(gammas, rounds):
+                weights = tuple(gamma ** -float(d) for d in drops)
+                assert sol == solve_lp(WmscInstance(universe, coverage, weights), kwargs["seed"])
+
+    def test_largest_drop_represents_each_coverage(self):
+        problem = CoverProblem(2, (0b01, 0b11, 0b01, 0b11, 0b10), (-3, -2, -5, -2, -1))
+        assert problem.indices == [1, 2, 4]
+        assert problem.sets == (0b11, 0b01, 0b10)
+        assert problem.covering == [[0, 1], [0, 2]]
+        assert problem.elements == [[0, 1], [0], [1]]
