@@ -124,17 +124,22 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _solver(args) -> SolverKind:
+    return SolverKind.LP_RELAXED if args.lp else SolverKind.EXACT
+
+
+def _config(args) -> SolveConfig:
+    """The search configuration of ``solve`` and ``bench`` (bench replaces
+    the seed per trial)."""
+    return SolveConfig(measure=_MEASURES[args.measure], solver_kind=_solver(args),
+                       env_pruning=not args.no_env_pruning, seed=args.seed)
+
+
 def _cmd_solve(args) -> int:
     graph = parse_graph(args.file, args.format)
     log.info("loaded %s: n=%d m=%d", args.file, graph.n, graph.m)
-    cfg = SolveConfig(
-        measure=_MEASURES[args.measure],
-        solver_kind=SolverKind.LP_RELAXED if args.lp else SolverKind.EXACT,
-        env_pruning=not args.no_env_pruning,
-        seed=args.seed,
-    )
     start = time.perf_counter()
-    report = mis_branch(graph, cfg)
+    report = mis_branch(graph, _config(args))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.json:
         print(json.dumps({"mis_size": report.mis_size,
@@ -152,10 +157,9 @@ def _cmd_discover(args) -> int:
     boundary = _parse_vertex_list(args.boundary, graph.n) if args.boundary else None
     region = region_of(graph, vertices, boundary)
     measure = _MEASURES[args.measure]
-    solver = SolverKind.LP_RELAXED if args.lp else SolverKind.EXACT
     try:
         table, cands, result = optimal_rule(
-            region, measure, solver, env_pruning=args.env_pruning, seed=args.seed,
+            region, measure, _solver(args), env_pruning=args.env_pruning, seed=args.seed,
         )
     except InfeasibleError as exc:
         # an input property, not a bug: the search itself never meets it, as
@@ -180,17 +184,12 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = SolveConfig(
-        measure=_MEASURES[args.measure],
-        solver_kind=SolverKind.LP_RELAXED if args.lp else SolverKind.EXACT,
-        env_pruning=not args.no_env_pruning,
-    )
     spec = BenchSpec(
         generator=args.gen,
         sizes=_parse_sizes(args.sizes),
         trials=args.trials,
         seed=args.seed,
-        config=cfg,
+        config=_config(args),
         avg_degree=args.avg_degree,
         filling=args.filling,
     )

@@ -1,16 +1,18 @@
-"""Recursive branch-and-reduce MIS solver with on-the-fly rule synthesis.
+"""Branch-and-reduce MIS solver with on-the-fly rule synthesis.
 
-Each call reduces the graph to a fixed point (taking pendants, folding
-degree-2 paths, deleting a vertex v whose neighbour u has N[u] a subset of
-N[v]), splits the irreducible kernel into connected components, picks the
-second-order neighborhood with the fewest boundary vertices, synthesizes the
-optimal branching rule for it, and recurses on one subproblem per clause.
-Rules with a single clause are reductions and do not count as branches; a
-rule with k >= 2 clauses adds k to the branch counter.
+Each search node reduces its graph to a fixed point (taking pendants,
+folding degree-2 paths, deleting a vertex v whose neighbour u has N[u] a
+subset of N[v]), splits the irreducible kernel into connected components,
+picks the second-order neighborhood with the fewest boundary vertices,
+synthesizes the optimal branching rule for it, and solves one subproblem per
+clause.  The search is depth-first on an explicit stack of nodes, so its
+depth is not bounded by the interpreter's recursion limit.  Rules with a
+single clause are reductions and do not count as branches; a rule with
+k >= 2 clauses adds k to the branch counter.
 
 Every graph of the search keeps its parent's vertex ids, and fold vertices
 take fresh ids above every id in use, so ids never renumber and no index
-map is threaded through the recursion: witnesses speak the input's ids
+map is threaded through the search: witnesses speak the input's ids
 (plus fold ids).  A kernel that is one component is used as it is, and a
 graph with no vertex of degree <= 2 and no dominated vertex is its own
 kernel, so neither is copied.
@@ -26,7 +28,6 @@ reduction in the search.
 from __future__ import annotations
 
 import logging
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -263,16 +264,15 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
     ``g`` whose size is the reported ``mis_size``.
     """
     cfg = cfg or SolveConfig()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 12 * g.n + 10000))
     nodes = branches = max_depth = 0
     stats: Counter = Counter()
     reductions: Counter = Counter()
     started = time.perf_counter()
 
-    def solve(graph: Graph, depth: int):
-        """MIS size and witness of ``graph``."""
-        nonlocal nodes, branches, max_depth
-        max_depth = max(max_depth, depth)
+    def solve(graph: Graph):
+        """Search node for ``graph``: yields each child graph, is sent that
+        child's (size, witness), and returns its own (size, witness)."""
+        nonlocal nodes, branches
         red = reduce_fixpoint(graph)
         reductions.update(takes=len(red.takes), folds=len(red.folds),
                           dominated=len(red.dominated))
@@ -301,7 +301,7 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
             )
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("node %d: depth=%d n=%d width=%d rows=%d k=%d gamma=%.6f",
-                          nodes, depth, len(comp.adj_mask), region.width, len(table),
+                          nodes, len(stack) - 1, len(comp.adj_mask), region.width, len(table),
                           len(result.rule), result.gamma)
             stats[(len(result.rule), result.gamma)] += 1
             if len(result.rule) >= 2:
@@ -317,7 +317,7 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
                 in_set = region.to_host_mask(clause.true_mask)
                 removed = region.to_host_mask(clause.mask) | comp.neighbors_mask(in_set)
                 child = induced_delete(comp, removed)
-                sub_size, sub_witness = solve(child, depth + 1)
+                sub_size, sub_witness = yield child
                 size = sub_size + in_set.bit_count()
                 if size > best_size:
                     best_size = size
@@ -327,7 +327,19 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
             kernel_witness.update(best_witness)
         return total, red.resolve(kernel_witness)
 
-    size, witness = solve(g, 0)
+    stack = [solve(g)]  # open nodes, root first; max_depth is its height - 1
+    reply = None
+    while stack:
+        try:
+            child = stack[-1].send(reply)
+        except StopIteration as done:
+            stack.pop()
+            reply = done.value
+        else:
+            stack.append(solve(child))
+            max_depth = max(max_depth, len(stack) - 1)
+            reply = None
+    size, witness = reply
     witness = frozenset(witness)
     _certify(g, witness, size)
     log.info("mis_branch: n=%d m=%d mis_size=%d branches=%d nodes=%d max_depth=%d "

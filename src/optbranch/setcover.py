@@ -442,6 +442,8 @@ def solve_lp(inst: WmscInstance | PreparedInstance, seed: int) -> WmscSolution:
     prepared = _prepared(inst)
     problem, weights = prepared.problem, prepared.weights
     universe = problem.universe_size
+    if not universe:
+        return problem.solution((), weights, lp_bound=0.0)
     sets = problem.sets
     scale, low = _anchor_scale(problem, weights)
     scaled = [w * scale for w in weights]

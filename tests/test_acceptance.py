@@ -6,6 +6,7 @@ is compiled or warmed up first: a timed test pays for its own first calls.
 """
 
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_criterion_6_oracle_equivalence():
     for gen_name in ("3regular", "erdos_renyi", "kings", "grid"):
         gen = GENERATORS[gen_name]
         for trial in range(300):
-            seed = trial_seed(1009, trial, hash(gen_name) & 0xFFFF)
+            seed = trial_seed(1009, trial, zlib.crc32(gen_name.encode()) & 0xFFFF)
             if gen_name == "3regular":
                 n = int(rng.integers(2, 10)) * 2
             else:

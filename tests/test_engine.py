@@ -1,4 +1,6 @@
+import inspect
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -227,6 +229,28 @@ class TestMisBranch:
             assert rep.mis_size == want
             assert g.is_independent(rep.witness)
             assert len(rep.witness) == rep.mis_size
+
+    def test_deep_search_keeps_the_recursion_limit(self):
+        # C_3 x C_400: row r is the triangle 3r, 3r+1, 3r+2, and vertex 3r+c
+        # is joined to 3(r+1)+c; the search runs 198 levels deep, which a
+        # recursive search could not do under a limit only 100 frames above
+        # the caller
+        rows = 400
+        triangles = [(3 * r + a, 3 * r + b) for r in range(rows)
+                     for a, b in ((0, 1), (0, 2), (1, 2))]
+        columns = [(3 * r + c, 3 * ((r + 1) % rows) + c) for r in range(rows) for c in range(3)]
+        g = Graph(3 * rows, triangles + columns)
+        before = sys.getrecursionlimit()
+        limit = len(inspect.stack(0)) + 100
+        sys.setrecursionlimit(limit)
+        try:
+            rep = mis_branch(g)
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(before)
+        assert rep.mis_size == 400 and rep.max_depth > 100
+        assert g.is_independent(rep.witness)
+        assert after == limit
 
     def test_whole_component_region_past_two_to_the_22(self):
         # K_{3,22}: minimum degree 3 and no dominated vertex, so the search

@@ -123,6 +123,12 @@ def record_exits(monkeypatch):
     return exits
 
 
+def test_empty_universe_has_the_empty_cover():
+    inst = WmscInstance(0, (), ())
+    assert solve_exact(inst) == WmscSolution((), 0, None)
+    assert solve_lp(inst, seed=0) == WmscSolution((), 0, 0.0)
+
+
 class TestSolveExact:
     def test_table2_selects_published_rule(self):
         sol = solve_exact(table2_instance())
