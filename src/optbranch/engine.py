@@ -20,9 +20,9 @@ kernel, so neither is copied.
 Everything is single-threaded and deterministic: identical (graph, config)
 inputs produce identical reports, including branch counts and witnesses.
 The ``optbranch.engine`` logger (enabled from the CLI by ``OPTBRANCH_LOG``)
-gets one ``debug`` line per synthesized node and one ``info`` summary per
-``mis_branch`` call, with the takes, folds and dominated deletions of every
-reduction in the search.
+gets one ``debug`` line per synthesized node, with the exact gamma rounds
+its rule took, and one ``info`` summary per ``mis_branch`` call, with the
+takes, folds and dominated deletions of every reduction in the search.
 """
 
 from __future__ import annotations
@@ -300,9 +300,9 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
                 env_pruning=cfg.env_pruning, seed=rule_seed,
             )
             if log.isEnabledFor(logging.DEBUG):
-                log.debug("node %d: depth=%d n=%d width=%d rows=%d k=%d gamma=%.6f",
+                log.debug("node %d: depth=%d n=%d width=%d rows=%d k=%d gamma=%.6f rounds=%d",
                           nodes, len(stack) - 1, len(comp.adj_mask), region.width, len(table),
-                          len(result.rule), result.gamma)
+                          len(result.rule), result.gamma, len(result.gamma_trail))
             stats[(len(result.rule), result.gamma)] += 1
             if len(result.rule) >= 2:
                 branches += len(result.rule)

@@ -2,12 +2,14 @@
 
 The branching factor gamma of a rule with reductions (d_1..d_k) is the root
 of sum(gamma^-d_i) = 1.  Candidate clauses are selected through a fixed point
-alternation: solve the covering instance whose weights are gamma^-d_i, then
-re-solve gamma from the chosen vector, until gamma stops decreasing or the
-chosen rule is a single clause (gamma 1, which no rule beats).  With
-the exact cover solver the fixed point is the global optimum; the tests
-cross-check it with a bisection on "does a cover of weight at most one
-exist".
+alternation (a Dinkelbach iteration): solve the covering instance whose
+weights are gamma^-d_i, then re-solve gamma from the chosen vector, until
+gamma stops decreasing or the chosen rule is a single clause (gamma 1, which
+no rule beats).  With the exact cover solver the iteration reaches the
+global optimum from any gamma that is the root of a real rule, so the exact
+rounds start where a cheap greedy-and-swap descent from gamma = 2 stops;
+the relaxed rounds start at gamma = 2.  The tests cross-check the optimum
+with a bisection on "does a cover of weight at most one exist".
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 from .clauses import DNF, Candidates, build_candidates
 from .errors import InfeasibleError, InputError, InternalError
 from .graph import Measure, Region
-from .setcover import CoverProblem, solve_exact, solve_lp
+from .setcover import CoverProblem, greedy_swap_cover, solve_exact, solve_lp
 from .table import BranchingTable, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant
 
 GAMMA_TOL = 1e-12
@@ -66,19 +68,49 @@ def find_gamma(vector) -> float:
         gamma = next_gamma
 
 
+def _descent(problem: CoverProblem, drops, exponents) -> float:
+    """The gamma the exact rounds start from: a greedy-and-swap descent.
+
+    From gamma = 2, each step covers at the current gamma with
+    ``greedy_swap_cover`` and moves to the root of that rule, its vector in
+    ascending candidate order, while the root falls by more than
+    ``GAMMA_TOL``.  A rule of one clause ends the descent where it is, so
+    every round runs at gamma > 1.  Every gamma after the first is the root
+    of a real rule, so it is at least the optimum.
+    """
+    gamma = 2.0
+    for _ in range(MAX_ROUNDS):
+        sol = greedy_swap_cover(problem.at(tuple(gamma ** e for e in exponents)))
+        vector = tuple(drops[i] for i in sol.chosen)
+        if len(vector) == 1:
+            break
+        root = find_gamma(vector)
+        if root >= gamma - GAMMA_TOL:
+            break
+        gamma = root
+    return gamma
+
+
 def minimize_gamma(
     candidates: Candidates,
     universe_size: int,
     solver: SolverKind = SolverKind.EXACT,
     seed: int = 0,
 ) -> OptimalBranchingResult:
-    """Fixed-point iteration of Alg-style rule selection, starting at gamma=2.
+    """Fixed-point iteration of Alg-style rule selection.
 
     Each round solves the covering instance at the current gamma and re-roots
     gamma from the chosen branching vector; rounds strictly decrease gamma
     until the fixed point, which the exact solver reaches at the provably
     minimal gamma.  The loop also stops at the first rule of one clause: its
     gamma is 1, which no rule beats, so that round's clause is returned.
+
+    The exact rounds start where ``_descent`` stops, the relaxed rounds at
+    gamma = 2.  The descent's gamma is 2, or the root of a real rule, which
+    the exact solver's first round matches or beats.  Either way the exact
+    answer is still ``solve_exact``'s cover at the root of the last
+    improving rule; the descent only saves rounds.  ``gamma_trail`` lists
+    the roots of the covering rounds only, not the descent's steps.
 
     Every round runs at gamma > 1, where the weight gamma^-drho falls as
     drho grows, so one ``CoverProblem`` built before the first round serves
@@ -95,7 +127,7 @@ def minimize_gamma(
     drops = candidates.delta_rho
     problem = CoverProblem(universe_size, candidates.coverage, [-d for d in drops])
     exponents = [-float(drops[i]) for i in problem.indices]
-    gamma_old = 2.0
+    gamma_old = _descent(problem, drops, exponents) if solver is SolverKind.EXACT else 2.0
     trail: list[float] = []
     best = None
     for round_no in range(MAX_ROUNDS):

@@ -26,7 +26,10 @@ only a strictly cheaper cover replaces the incumbent, so every path breaks
 ties the same way: the greedy cover wins whenever it is optimal.
 ``solve_lp`` solves the same HiGHS relaxation and rounds it with seeded
 inclusion trials, each completed by the same greedy cover and stripped of
-redundant sets by per-element cover counts.
+redundant sets by per-element cover counts.  ``greedy_swap_cover`` improves
+the same greedy cover by swapping one or two chosen sets for one lighter
+set, with no proof of optimality; the exact γ loop starts where a descent
+of such covers stops.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -201,6 +204,78 @@ def _greedy_cover(covs, weights, full):
         uncov &= ~covs[best]
         live = still
     return chosen, total
+
+
+def _swap_moves(problem: CoverProblem, weights, chosen):
+    """Improve the cover ``chosen`` by replacing one or two sets at a time.
+
+    A move takes out one chosen set or two, and puts in the lightest set
+    that covers every element only they cover, lowest index on ties, or no
+    set when they cover no element alone.  That set holds the lowest needed
+    element, so only that element's covering list is scanned, lightest
+    first and only while a set would save weight.  Each pass applies the
+    move that saves the most weight, and passes repeat while a move saves
+    more than ``PRUNE_TOL``; of equal savings the move met first wins,
+    scanning each chosen a in ascending order alone and then with each later
+    b.  Returns the chosen set indices in ascending order; the cover is
+    never heavier than the given one.
+    """
+    covs, covering = problem.sets, problem.covering
+    chosen = sorted(chosen)
+    lightest: dict[int, list[int]] = {}  # covering[e] by weight, stable
+    while True:
+        # elements covered by at least one, two and three chosen sets
+        ones = twos = threes = 0
+        for i in chosen:
+            threes |= twos & covs[i]
+            twos |= ones & covs[i]
+            ones |= covs[i]
+        once, twice = ones & ~twos, twos & ~threes
+        alone = [covs[a] & once for a in chosen]
+        best_save, best_move = PRUNE_TOL, None
+        for x, a in enumerate(chosen):
+            for y in range(x, len(chosen)):
+                if y == x:
+                    b, need, budget = None, alone[x], weights[a]
+                else:
+                    b = chosen[y]
+                    need = alone[x] | alone[y] | covs[a] & covs[b] & twice
+                    budget = weights[a] + weights[b]
+                cutoff = budget - best_save
+                if not need:
+                    if cutoff > 0.0:
+                        best_save, best_move = budget, (a, b, None)
+                    continue
+                e = (need & -need).bit_length() - 1
+                order = lightest.get(e)
+                if order is None:
+                    order = lightest[e] = sorted(covering[e], key=weights.__getitem__)
+                for s in order:
+                    if weights[s] >= cutoff:
+                        break
+                    if covs[s] & need == need:
+                        best_save, best_move = budget - weights[s], (a, b, s)
+                        break
+        if best_move is None:
+            return chosen
+        a, b, put = best_move
+        kept = set(chosen) - {a, b}
+        if put is not None:
+            kept.add(put)
+        chosen = sorted(kept)
+
+
+def greedy_swap_cover(inst: PreparedInstance) -> WmscSolution:
+    """``solve_exact``'s greedy incumbent improved by ``_swap_moves``.
+
+    A cover on the same work-scaled weights as ``solve_exact``'s greedy, so
+    its ties break alike at any weight scale, but not a proven optimum.
+    """
+    problem, weights = inst.problem, inst.weights
+    scale, _low = _anchor_scale(problem, weights)
+    work_w = [w * scale for w in weights]
+    chosen, _total = _greedy_cover(problem.sets, work_w, problem.full)
+    return problem.solution(_swap_moves(problem, work_w, chosen), weights)
 
 
 def _dual_ascent(problem: CoverProblem, weights):

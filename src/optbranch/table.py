@@ -117,15 +117,23 @@ def _boundary_set_mask(region: Region, key: int) -> int:
     return out
 
 
-def _induced_alpha(host: Graph, vertex_mask: int, limit: int) -> int:
-    """Exact alpha of the induced subgraph when small, else the vertex count."""
-    count = vertex_mask.bit_count()
-    if count == 0:
-        return 0
-    if count > limit:
-        return count
+def _induced_alpha(host: Graph, vertex_mask: int) -> int:
+    """Exact alpha of the subgraph of ``host`` induced on ``vertex_mask``."""
     induced = Region(host, vertex_mask, 0, tuple(bits(vertex_mask)))
-    size, _ = _kernels.max_independent(count, induced.local_adj_masks())
+    size, _ = _kernels.max_independent(vertex_mask.bit_count(), induced.local_adj_masks())
+    return size
+
+
+def _greedy_independent(host: Graph, vertex_mask: int) -> int:
+    """Size of an independent set inside ``vertex_mask``, a lower bound on
+    its alpha: the lowest vertex left is taken and its closed neighbourhood
+    dropped, until no vertex is left."""
+    adj = host.adj_mask
+    size = 0
+    while vertex_mask:
+        v = (vertex_mask & -vertex_mask).bit_length() - 1
+        vertex_mask &= ~(adj[v] | 1 << v)
+        size += 1
     return size
 
 
@@ -135,13 +143,20 @@ def prune_by_environment(t: AlphaTensor) -> AlphaTensor:
     A surviving configuration s is dropped when some retained configuration
     t' absorbs it: every completion of the s branch is matched, up to the
     vertices t' removes but s does not, by a completion of the t' branch.
-    The alpha of that difference set is computed exactly when it has at most
+    That holds when the alpha of that difference set is at most the gap
+    values[t'] - values[s].  The alpha is exact when the set has at most
     ``ENV_EXACT_LIMIT`` vertices, otherwise its vertex count stands in as a
-    sound upper bound.  Configurations are considered in order of decreasing
-    value so mutually absorbing pairs keep exactly one representative.
+    sound upper bound.  Bounds settle most pairs before any enumeration: a
+    set no larger than the gap is absorbed, and a nonempty set against a
+    zero gap, or one holding a greedy independent set larger than the gap,
+    is not.  Only the rest enumerate, and both the greedy size and the exact
+    alpha are kept per difference set.  Configurations are considered in
+    order of decreasing value so mutually absorbing pairs keep exactly one
+    representative.
     """
     region = t.region
     host = region.host
+    values = t.values
     survivors = t.surviving()
     if len(survivors) <= 1:
         return t
@@ -149,21 +164,32 @@ def prune_by_environment(t: AlphaTensor) -> AlphaTensor:
     for key in survivors:
         chosen = _boundary_set_mask(region, key)
         removed_by[key] = host.neighbors_mask(chosen) & ~region.vertices
-    order = sorted(survivors, key=lambda k: (-t.values[k], k))
-    kept: list[int] = []
-    pruned = list(t.values)
+    lower: dict[int, int] = {}
     alpha_of: dict[int, int] = {}
+
+    def absorbs(other, s):
+        diff = removed_by[other] & ~removed_by[s]
+        gap = values[other] - values[s]
+        count = diff.bit_count()
+        if count <= gap:
+            return True
+        if count > ENV_EXACT_LIMIT or gap == 0:
+            return False
+        low = lower.get(diff)
+        if low is None:
+            low = lower[diff] = _greedy_independent(host, diff)
+        if low > gap:
+            return False
+        alpha = alpha_of.get(diff)
+        if alpha is None:
+            alpha = alpha_of[diff] = _induced_alpha(host, diff)
+        return alpha <= gap
+
+    order = sorted(survivors, key=lambda k: (-values[k], k))
+    kept: list[int] = []
+    pruned = list(values)
     for s in order:
-        absorbed = False
-        for other in kept:
-            diff = removed_by[other] & ~removed_by[s]
-            bound = alpha_of.get(diff)
-            if bound is None:
-                bound = alpha_of[diff] = _induced_alpha(host, diff, ENV_EXACT_LIMIT)
-            if t.values[s] + bound <= t.values[other]:
-                absorbed = True
-                break
-        if absorbed:
+        if any(absorbs(other, s) for other in kept):
             pruned[s] = NEG_INF
         else:
             kept.append(s)

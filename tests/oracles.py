@@ -3,7 +3,7 @@ tests read graphs and covers through.
 
 These deliberately avoid the package's enumeration kernels and solvers so
 the tests compare two unrelated routes to the same answer; the gamma
-bisection is the one exception, noted on it.
+bisection and the gamma loop from 2 are the exceptions, noted on them.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import numpy as np
 
 from optbranch.errors import InfeasibleError, InternalError
 from optbranch.graph import Measure, bits
+from optbranch.optimize import find_gamma
 from optbranch.setcover import WmscInstance, solve_exact
 
 
@@ -325,3 +326,58 @@ def minimize_gamma_bisection(candidates, universe_size, eps=1e-6):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def oracle_prune_by_environment(t, exact_limit):
+    """Environment pruning as first written: values of ``t`` after it.
+
+    Every pair (retained t', survivor s), survivors by decreasing value,
+    computes the alpha of the difference set (vertices t' removes outside
+    the region that s does not) outright: by memoized branching up to
+    ``exact_limit`` vertices, its vertex count above.  s is dropped when
+    values[s] + alpha <= values[t'] for some retained t'.
+    """
+    region = t.region
+    host = region.host
+    alpha = _alpha(host.adj_mask)
+    boundary = [v for v in region.local_order if region.boundary >> v & 1]
+    removed_by = {}
+    for key in t.surviving():
+        chosen = sum(1 << v for j, v in enumerate(boundary) if key >> j & 1)
+        removed_by[key] = host.neighbors_mask(chosen) & ~region.vertices
+    kept = []
+    pruned = list(t.values)
+    for s in sorted(removed_by, key=lambda k: (-t.values[k], k)):
+        for other in kept:
+            diff = removed_by[other] & ~removed_by[s]
+            count = diff.bit_count()
+            bound = count if count > exact_limit else alpha(diff)
+            if t.values[s] + bound <= t.values[other]:
+                pruned[s] = -1
+                break
+        else:
+            kept.append(s)
+    return tuple(pruned)
+
+
+def oracle_minimize_gamma_from_two(candidates, universe_size):
+    """The exact gamma loop as it ran before its greedy-and-swap start.
+
+    From gamma = 2, each round solves the whole candidate list at weights
+    gamma^-drho with ``solve_exact`` and re-roots gamma from the chosen
+    vector, until gamma stops falling by more than 1e-12 or the rule has one
+    clause.  Returns (gamma, rounds).  It shares ``solve_exact`` and
+    ``find_gamma`` with the package: it checks where the loop starts, not
+    the cover solver.
+    """
+    gamma_old = 2.0
+    rounds = 0
+    while True:
+        weights = tuple(gamma_old ** -float(d) for d in candidates.delta_rho)
+        sol = solve_exact(WmscInstance(universe_size, candidates.coverage, weights))
+        rounds += 1
+        vector = [candidates.delta_rho[i] for i in sol.chosen]
+        gamma_new = find_gamma(vector)
+        if len(vector) == 1 or gamma_new >= gamma_old - 1e-12:
+            return gamma_new, rounds
+        gamma_old = gamma_new

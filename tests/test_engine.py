@@ -172,6 +172,57 @@ def test_components_split():
     assert components(g) == [0b00011, 0b01100, 0b10000]
 
 
+# per-trial (n, trial, seed, mis, branches) of
+# `optbranch bench --gen 3regular --sizes 60:120:20 --trials 10 --seed 24601`,
+# 3091 branches in all
+REGULAR3_BASELINE = [
+    # n = 60
+    (60, 0, 980138122640924038, 27, 10),
+    (60, 1, 4198118169126084708, 27, 10),
+    (60, 2, 8401941262419151253, 26, 16),
+    (60, 3, 6226614030951895004, 26, 9),
+    (60, 4, 4981124035132016572, 27, 11),
+    (60, 5, 8766114373573971343, 26, 12),
+    (60, 6, 1404321578544990838, 26, 13),
+    (60, 7, 2145910718265487924, 26, 12),
+    (60, 8, 6385269564862293148, 26, 10),
+    (60, 9, 892621782555075679, 27, 14),
+    # n = 80
+    (80, 0, 3429462523703087072, 35, 15),
+    (80, 1, 6113286570522914132, 36, 40),
+    (80, 2, 1178889263730378652, 35, 35),
+    (80, 3, 300741557356921730, 35, 35),
+    (80, 4, 8653809208773685014, 36, 25),
+    (80, 5, 6991220114689105762, 35, 40),
+    (80, 6, 7496674584360617105, 35, 34),
+    (80, 7, 792609362739330463, 36, 24),
+    (80, 8, 4802483758242562614, 35, 37),
+    (80, 9, 5370235002382626224, 36, 38),
+    # n = 100
+    (100, 0, 7685953152467875127, 43, 42),
+    (100, 1, 2054428159783042046, 45, 81),
+    (100, 2, 7413506258184712423, 44, 77),
+    (100, 3, 4252887675856162066, 44, 72),
+    (100, 4, 4247803363577073837, 45, 60),
+    (100, 5, 305016486773627293, 45, 74),
+    (100, 6, 1707912726543156858, 44, 77),
+    (100, 7, 5922196070959043268, 44, 50),
+    (100, 8, 985156398762766286, 45, 60),
+    (100, 9, 3737014025543053911, 44, 57),
+    # n = 120
+    (120, 0, 6339658618967733684, 53, 240),
+    (120, 1, 8127544149945251569, 53, 191),
+    (120, 2, 1348003301809464220, 53, 201),
+    (120, 3, 3357493747030030696, 54, 181),
+    (120, 4, 375511865943191604, 53, 246),
+    (120, 5, 1710984361914907359, 53, 129),
+    (120, 6, 3239287082736550280, 53, 164),
+    (120, 7, 975831849603590831, 53, 261),
+    (120, 8, 1850550480465027515, 54, 146),
+    (120, 9, 7994089155926985315, 53, 242),
+]
+
+
 PIN_GRAPHS = {
     "3regular": three_regular,
     "kings": lambda n, seed: kings_subgraph(n, 0.8, seed),
@@ -339,6 +390,12 @@ class TestMisBranch:
             (400, 127, 0), (400, 125, 0), (400, 126, 0), (400, 125, 8),
         ]
 
+    def test_regular3_baseline_pinned(self):
+        report = run_bench(BenchSpec("3regular", (60, 80, 100, 120), 10, 24601))
+        got = [(r.n, r.trial, r.seed, r.mis, r.branches) for r in report.rows]
+        assert got == REGULAR3_BASELINE
+        assert sum(r.branches for r in report.rows) == 3091
+
     def test_search_pinned(self, monkeypatch):
         # (mis_size, branch_count, node_count, max_depth, witness as a mask),
         # re-recorded when reduce_fixpoint began deleting dominating vertices;
@@ -374,8 +431,10 @@ class TestLogging:
         info = [r.getMessage() for r in records if r.levelno == logging.INFO]
         assert len(debug) == rep.node_count >= 1
         for line in debug:
-            for field_name in ("depth=", "n=", "width=", "rows=", "k=", "gamma="):
+            for field_name in ("depth=", "n=", "width=", "rows=", "k=", "gamma=", "rounds="):
                 assert field_name in line
+            # every exact synthesis ends on at least one covering round
+            assert int(line.rpartition(" rounds=")[2]) >= 1
         assert len(info) == 1
         assert f"mis_size={rep.mis_size}" in info[0]
         assert f"branches={rep.branch_count}" in info[0]

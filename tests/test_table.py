@@ -1,14 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from optbranch import CapacityError
+from optbranch import CapacityError, table
 from optbranch.graph import Graph, bits, region_of
 from optbranch.table import (
-    NEG_INF, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant,
+    ENV_EXACT_LIMIT, NEG_INF, alpha_tensor, boundary_grouped, prune_by_environment,
+    prune_irrelevant,
 )
 from optbranch._kernels import max_independent
 
-from oracles import oracle_alpha_tensor, oracle_mis
+from oracles import oracle_alpha_tensor, oracle_mis, oracle_prune_by_environment
 from paper_cases import (
     DOMINATION_ROWS, FIG1_ALPHA, FIG1_REDUCED_BY, FIG1_ROWS,
     domination_region, fig1_region, string_to_config,
@@ -18,6 +22,17 @@ from paper_cases import (
 def boundary_key(s):
     """Boundary string (first boundary vertex leftmost) -> packed key."""
     return string_to_config(s)
+
+
+@st.composite
+def hosted_regions(draw):
+    """The first 2-10 vertices of a random host graph of 6-22 vertices, with
+    the boundary of the vertices that have a neighbour outside."""
+    n = draw(st.integers(6, 22))
+    p = draw(st.sampled_from([0.15, 0.25, 0.4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return region_of(Graph(n, edges), range(draw(st.integers(2, min(10, n - 1)))))
 
 
 def random_region(rng, n, p, boundary_every=3):
@@ -151,6 +166,17 @@ class TestPruneByEnvironment:
         assert [v for v in t.values] == [2, 3, 3, 4]
         pruned = prune_by_environment(t)
         assert pruned.values == (NEG_INF, NEG_INF, NEG_INF, 4)
+
+    @pytest.mark.parametrize("limit", [ENV_EXACT_LIMIT, 3])  # 3: wider sets use their count
+    @given(hosted_regions())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_oracle(self, limit, region):
+        # the bounds decide without enumerating, so they must keep every
+        # verdict of the routine that computes each difference's alpha
+        t = prune_irrelevant(alpha_tensor(region))
+        with mock.patch.object(table, "ENV_EXACT_LIMIT", limit):
+            got = prune_by_environment(t).values
+        assert got == oracle_prune_by_environment(t, limit)
 
 
 def _environment_alpha(region, key):

@@ -14,7 +14,10 @@ from optbranch.setcover import (
     SMALL_SET_LIMIT, CoverProblem, WmscInstance, WmscSolution, solve_exact, solve_lp,
 )
 
-from oracles import is_cover, oracle_set_cover, oracle_set_cover_dp
+from oracles import (
+    is_cover, minimize_gamma_bisection, oracle_minimize_gamma_from_two, oracle_set_cover,
+    oracle_set_cover_dp,
+)
 from paper_cases import FIG1_CANDIDATES, FIG1_GAMMA
 
 
@@ -442,9 +445,11 @@ class TestCoverProblem:
         universe, coverage, drops = case
         cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), coverage, drops)
         patch, rounds = record_rounds("solve_exact")
-        with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit), patch:
+        descent, starts = record_rounds("_descent")
+        with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit), patch, descent:
             res = minimize_gamma(cands, universe)
-            gammas = (2.0,) + res.gamma_trail[:-1]
+            # the first exact round runs where the greedy-and-swap descent stopped
+            gammas = (starts[0][2],) + res.gamma_trail[:-1]
             assert len(rounds) == len(gammas)
             for gamma, (_args, _kwargs, sol) in zip(gammas, rounds):
                 weights = tuple(gamma ** -float(d) for d in drops)
@@ -470,3 +475,67 @@ class TestCoverProblem:
         assert problem.sets == (0b11, 0b01, 0b10)
         assert problem.covering == [[0, 1], [0, 2]]
         assert problem.elements == [[0, 1], [0], [1]]
+
+
+class TestSwapMoves:
+    """``_swap_moves`` trades one or two chosen sets for one lighter set."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_cover_never_heavier_and_deterministic(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng)
+        problem = CoverProblem(inst.universe_size, inst.sets, inst.weights)
+        weights = [inst.weights[i] for i in problem.indices]
+        # a random cover: about half the sets, then one set per element left
+        start = [j for j in range(len(problem.sets)) if rng.random() < 0.5]
+        for members in problem.covering:
+            if not set(members) & set(start):
+                start.append(int(rng.choice(members)))
+        got = setcover._swap_moves(problem, weights, start)
+        covered = 0
+        for j in got:
+            covered |= problem.sets[j]
+        assert covered == problem.full
+        assert got == sorted(set(got))
+        assert sum(weights[j] for j in got) <= sum(weights[j] for j in start)
+        assert setcover._swap_moves(problem, weights, start) == got
+        assert setcover._swap_moves(problem, weights, got) == got
+
+    def test_one_set_replaces_one(self):
+        # in the cover {0, 1} only set 0 covers elements 0 and 1; sets 2 and
+        # 3 cover both for less, at equal weight, so the lower index goes in
+        weights = (1.0, 0.3, 0.4, 0.4)
+        problem = CoverProblem(4, (0b0011, 0b1100, 0b0111, 0b1011), weights)
+        assert setcover._swap_moves(problem, weights, [0, 1]) == [1, 2]
+
+    def test_one_set_replaces_two(self):
+        weights = (0.5, 0.5, 0.8)
+        problem = CoverProblem(4, (0b0011, 0b1100, 0b1111), weights)
+        assert setcover._swap_moves(problem, weights, [0, 1]) == [2]
+
+    def test_redundant_set_is_dropped(self):
+        weights = (0.5, 0.5, 0.2)
+        problem = CoverProblem(3, (0b011, 0b110, 0b100), weights)
+        assert setcover._swap_moves(problem, weights, [0, 1, 2]) == [0, 2]
+
+
+class TestDescentStart:
+    """The exact rounds start where the greedy-and-swap descent stops, and
+    reach the γ that the loop from γ = 2 reaches, in no more rounds."""
+
+    @given(rule_covers())
+    @settings(max_examples=120, deadline=None)
+    def test_same_gamma_as_the_loop_from_two(self, case):
+        universe, coverage, drops = case
+        cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), coverage, drops)
+        patch, rounds = record_rounds("solve_exact")
+        descent, starts = record_rounds("_descent")
+        with patch, descent:
+            res = minimize_gamma(cands, universe)
+        gamma, oracle_rounds = oracle_minimize_gamma_from_two(cands, universe)
+        assert abs(res.gamma - gamma) <= 1e-12
+        # the start is 2, or the root of a real rule and so never below the optimum
+        assert starts[0][2] == 2.0 or starts[0][2] >= res.gamma - 1e-12
+        assert len(rounds) == len(res.gamma_trail) <= oracle_rounds
+        assert abs(res.gamma - minimize_gamma_bisection(cands, universe)) <= 1e-5
