@@ -8,8 +8,10 @@ gamma stops decreasing or the chosen rule is a single clause (gamma 1, which
 no rule beats).  With the exact cover solver the iteration reaches the
 global optimum from any gamma that is the root of a real rule, so the exact
 rounds start where a cheap greedy-and-swap descent from gamma = 2 stops;
-the relaxed rounds start at gamma = 2.  The tests cross-check the optimum
-with a bisection on "does a cover of weight at most one exist".
+the relaxed rounds start at gamma = 2.  An exact round before the last may
+return an LP rounding that lowers gamma in place of a proven optimum.  The
+tests cross-check the optimum with a bisection on "does a cover of weight
+at most one exist".
 """
 
 from __future__ import annotations
@@ -91,6 +93,16 @@ def _descent(problem: CoverProblem, drops, exponents) -> float:
     return gamma
 
 
+def _lowers(drops, gamma):
+    """The test a round's LP rounding must pass to replace its MIP: a rule
+    of two or more clauses, its vector in the loop's order, whose root is
+    below ``gamma`` by more than ``GAMMA_TOL``."""
+    def test(chosen) -> bool:
+        vector = [drops[i] for i in chosen]
+        return len(vector) >= 2 and find_gamma(vector) < gamma - GAMMA_TOL
+    return test
+
+
 def minimize_gamma(
     candidates: Candidates,
     universe_size: int,
@@ -111,6 +123,15 @@ def minimize_gamma(
     answer is still ``solve_exact``'s cover at the root of the last
     improving rule; the descent only saves rounds.  ``gamma_trail`` lists
     the roots of the covering rounds only, not the descent's steps.
+
+    Only the last exact round must be optimal: any earlier one needs only a
+    rule whose root is lower.  So each exact round passes ``solve_exact``
+    the test of ``_lowers``, and a round whose HiGHS relaxation is
+    fractional returns the LP rounding instead of running the MIP whenever
+    that rounding lowers gamma.  The loop then moves to its root as after
+    any improving round.  A rounding never ends the loop (that raises
+    ``InternalError``), so the last round, and with it the answer, is
+    always a proven optimum.
 
     Every round runs at gamma > 1, where the weight gamma^-drho falls as
     drho grows, so one ``CoverProblem`` built before the first round serves
@@ -133,7 +154,10 @@ def minimize_gamma(
     for round_no in range(MAX_ROUNDS):
         inst = problem.at(tuple(gamma_old ** e for e in exponents))
         if solver is SolverKind.EXACT:
-            sol = solve_exact(inst)
+            improves = _lowers(drops, gamma_old)
+            sol = solve_exact(inst, improves=improves)
+            if sol.lp_bound is not None and not improves(sol.chosen):
+                raise InternalError("an LP rounding that does not lower gamma ended a round")
         else:
             sol = solve_lp(inst, seed=(seed ^ (round_no * 0x9E3779B9)) & 0xFFFFFFFFFFFFFFFF)
         vector = tuple(drops[i] for i in sol.chosen)

@@ -23,10 +23,15 @@ every cover.  When that bound reaches the incumbent, the incumbent is
 optimal; when the LP solution is integral, it is an optimal cover itself;
 only a fractional relaxation runs the mixed-integer program.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
-ties the same way: the greedy cover wins whenever it is optimal.
+ties the same way: the greedy cover wins whenever it is optimal.  A caller
+that needs only some good enough cover (the γ loop's rounds before its
+last) may pass a predicate: a fractional relaxation is then rounded first,
+and a rounding the predicate accepts is returned, marked by ``lp_bound``,
+without the MIP.
 ``solve_lp`` solves the same HiGHS relaxation and rounds it with seeded
 inclusion trials, each completed by the same greedy cover and stripped of
-redundant sets by per-element cover counts.  ``greedy_swap_cover`` improves
+redundant sets by per-element cover counts (``_complete``), as is the
+rounding of ``solve_exact``.  ``greedy_swap_cover`` improves
 the same greedy cover by swapping one or two chosen sets for one lighter
 set, with no proof of optimality; the exact γ loop starts where a descent
 of such covers stops.
@@ -81,8 +86,8 @@ class WmscInstance:
 
 @dataclass(frozen=True)
 class WmscSolution:
-    """A cover's set indices and weight; ``lp_bound`` is set only by the LP
-    rounding, whose cover may not be optimal."""
+    """A cover's set indices and weight; ``lp_bound`` (the LP optimum) is set
+    only on a cover from an LP rounding, which may not be optimal."""
 
     chosen: tuple[int, ...]
     objective: float
@@ -375,7 +380,7 @@ def _cover_relaxation(matrix, cost):
     return res.x, res.fun
 
 
-def _mip_cover(covs, weights, universe_size, incumbent, *, matrix):
+def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None):
     """Exact cover over the sets lighter than the incumbent, LP first.
 
     ``matrix`` is the 0/1 element-by-set matrix of ``covs``.
@@ -397,9 +402,14 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix):
         cheaper by more than the gap, so the incumbent stands;
     (b) the LP solution is integral: it is itself an optimal cover, and
         replaces the incumbent under the rule above;
-    (c) otherwise one HiGHS MIP over the same columns finds the optimum.
+    (c) otherwise, when ``rounding`` is given, it gets the kept sets with
+        x > 0.5 and returns a cover built from them that the caller
+        accepts, or None; an accepted cover is returned as it is, with no
+        proof of optimality.  Without ``rounding``, or when it returns
+        None, one HiGHS MIP over the same columns finds the optimum.
 
-    Returns the chosen set indices.
+    Returns ``(chosen, bound)``: the chosen set indices, and the LP optimum
+    in the scale of ``weights`` when they are a rounding, else None.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -408,15 +418,19 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix):
     keep = np.flatnonzero(weight < best_obj)
     matrix = matrix[:, keep]
     if not matrix.any(axis=1).all():
-        return list(best_sol)
+        return list(best_sol), None
 
     lift = 2.0 ** (MIP_LIFT_EXP - math.frexp(best_obj)[1])
     cost = weight[keep] * lift
     cutoff = best_obj * lift - MIP_ABS_GAP
     x, lp_obj = _cover_relaxation(matrix, cost)
     if lp_obj >= cutoff:
-        return list(best_sol)
+        return list(best_sol), None
     if np.any(np.minimum(x, 1.0 - x) > LP_INTEGRAL_TOL):
+        if rounding is not None:
+            rounded = rounding(keep[x > 0.5].tolist())
+            if rounded is not None:
+                return rounded, lp_obj / lift
         res = milp(cost, integrality=np.ones(len(keep)), bounds=Bounds(0.0, 1.0),
                    constraints=LinearConstraint(matrix, lb=1.0),
                    options={"mip_rel_gap": 0.0})
@@ -430,8 +444,8 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix):
     if got != (1 << universe_size) - 1:
         raise InternalError("HiGHS returned a non-cover")
     if sum(weights[j] for j in chosen) * lift < cutoff:
-        return chosen
-    return list(best_sol)
+        return chosen, None
+    return list(best_sol), None
 
 
 def _anchor_scale(problem: CoverProblem, weights):
@@ -447,7 +461,7 @@ def _anchor_scale(problem: CoverProblem, weights):
     return 2.0 ** -math.frexp(low)[1], low
 
 
-def solve_exact(inst: WmscInstance | PreparedInstance) -> WmscSolution:
+def solve_exact(inst: WmscInstance | PreparedInstance, improves=None) -> WmscSolution:
     """Minimum-weight cover; deterministic, exact within the stated tolerances.
 
     Sets with equal coverage collapse to their cheapest representative, once
@@ -460,6 +474,16 @@ def solve_exact(inst: WmscInstance | PreparedInstance) -> WmscSolution:
     Only a strictly cheaper cover replaces the incumbent, so of several tied
     optima the greedy cover wins whenever it is one of them: the one tie
     rule of every path.
+
+    ``improves``, when given, is a predicate on a cover's chosen indices (as
+    given, ascending).  Before a fractional relaxation runs the MIP, the LP
+    solution is rounded: every set with x > 0.5, completed by the greedy
+    cover of what they leave uncovered, stripped of redundant sets
+    (``_drop_redundant``) and improved by ``_swap_moves``.  When
+    ``improves`` accepts that cover, it is returned instead of the optimum,
+    with ``lp_bound`` set to the LP optimum; every other path, and every
+    call without ``improves``, returns a proven optimum with ``lp_bound``
+    None.
     """
     prepared = _prepared(inst)
     problem, weights = prepared.problem, prepared.weights
@@ -470,13 +494,18 @@ def solve_exact(inst: WmscInstance | PreparedInstance) -> WmscSolution:
     y = _dual_ascent(problem, work_w)
     incumbent = (greedy_obj, greedy_sol)
     if greedy_obj <= sum(y) + PRUNE_TOL:
-        chosen = greedy_sol
-    elif len(problem.sets) <= SMALL_SET_LIMIT:
-        chosen = _bnb_python(problem, work_w, y, incumbent)
-    else:
-        chosen = _mip_cover(problem.sets, work_w, problem.universe_size, incumbent,
-                            matrix=problem.matrix)
-    return problem.solution(chosen, weights)
+        return problem.solution(greedy_sol, weights)
+    if len(problem.sets) <= SMALL_SET_LIMIT:
+        return problem.solution(_bnb_python(problem, work_w, y, incumbent), weights)
+
+    def rounding(picked):
+        chosen = _swap_moves(problem, work_w, _complete(problem, work_w, picked))
+        return chosen if improves(problem.solution(chosen, weights).chosen) else None
+
+    chosen, bound = _mip_cover(problem.sets, work_w, problem.universe_size, incumbent,
+                               matrix=problem.matrix,
+                               rounding=None if improves is None else rounding)
+    return problem.solution(chosen, weights, None if bound is None else bound / scale)
 
 
 def _drop_redundant(elements, weights, picked, universe_size):
@@ -497,6 +526,17 @@ def _drop_redundant(elements, weights, picked, universe_size):
             for e in elements[i]:
                 count[e] -= 1
     return sorted(kept)
+
+
+def _complete(problem: CoverProblem, weights, picked):
+    """``picked`` completed into a cover by the greedy cover of the elements
+    it leaves uncovered, then stripped of redundant sets, heaviest first.
+    Returns the chosen indices in ascending order."""
+    covered = 0
+    for j in picked:
+        covered |= problem.sets[j]
+    repair, _ = _greedy_cover(problem.sets, weights, problem.full & ~covered)
+    return _drop_redundant(problem.elements, weights, picked + repair, problem.universe_size)
 
 
 def solve_lp(inst: WmscInstance | PreparedInstance, seed: int) -> WmscSolution:
@@ -534,12 +574,8 @@ def solve_lp(inst: WmscInstance | PreparedInstance, seed: int) -> WmscSolution:
     trials = LP_TRIALS if ((x > 0) & (x < 1)).any() else 1
     for trial in range(trials):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
-        picked = (rng.random(problem.n_given)[given] < x).nonzero()[0].tolist()
-        covered = 0
-        for j in picked:
-            covered |= sets[j]
-        repair, _ = _greedy_cover(sets, scaled, problem.full & ~covered)
-        picked = _drop_redundant(problem.elements, scaled, picked + repair, universe)
+        picked = _complete(problem, scaled,
+                           (rng.random(problem.n_given)[given] < x).nonzero()[0].tolist())
         obj = sum(scaled[j] for j in picked)
         if obj < best_obj - PRUNE_TOL:
             best_obj = obj

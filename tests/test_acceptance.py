@@ -126,6 +126,10 @@ def test_criterion_4_bottleneck_case():
     assert len(cands) == BOTTLENECK_CANDIDATES
     assert tuple(sorted(result.branching_vector)) == BOTTLENECK_VECTOR
     assert abs(result.gamma - BOTTLENECK_GAMMA) < 1e-4
+    # the first exact round (at the descent's 1.08305) returns an LP rounding
+    # in place of its MIP; the rule and both roots are the ones the two MIPs gave
+    assert result.chosen_indices == (1259, 1879, 1926, 5894)
+    assert result.gamma_trail == (1.081711631576666, 1.081711631576666)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report("4 bottleneck", f"71 rows, 15782 candidates, gamma={result.gamma:.6f}, {elapsed:.1f} s")
