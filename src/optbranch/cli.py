@@ -184,6 +184,9 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise InputError(f"--out directory {out_dir} does not exist")
     spec = BenchSpec(
         generator=args.gen,
         sizes=_parse_sizes(args.sizes),

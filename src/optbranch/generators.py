@@ -35,6 +35,8 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
     """G(n, p) with p chosen to hit the requested average degree."""
     if n < 1:
         raise InputError("need at least one vertex")
+    if not 0.0 <= avg_degree < math.inf:
+        raise InputError(f"average degree must be finite and at least 0, got {avg_degree}")
     if n == 1:
         return Graph(1, [])
     p = min(1.0, avg_degree / (n - 1))

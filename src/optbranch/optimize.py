@@ -2,20 +2,21 @@
 
 The branching factor gamma of a rule with reductions (d_1..d_k) is the root
 of sum(gamma^-d_i) = 1.  Candidate clauses are selected through a fixed point
-alternation (a Dinkelbach iteration): solve the covering instance whose
-weights are gamma^-d_i, then re-solve gamma from the chosen vector, until
-gamma stops decreasing or the chosen rule is a single clause (gamma 1, which
-no rule beats).  With the exact cover solver the iteration reaches the
-global optimum from any gamma that is the root of a real rule, so the exact
-rounds start where a cheap greedy-and-swap descent from gamma = 2 stops;
-the relaxed rounds start at gamma = 2.  An exact round before the last may
-return an LP rounding that lowers gamma in place of a proven optimum.  The
-tests cross-check the optimum with a bisection on "does a cover of weight
-at most one exist".
+alternation (a Dinkelbach iteration) from gamma = 2: solve the covering
+instance whose weights are gamma^-d_i, then re-solve gamma from the chosen
+vector, until gamma stops decreasing or the chosen rule is a single clause
+(gamma 1, which no rule beats).  With the exact cover solver the iteration
+reaches the global optimum, and only its last round must be a proven
+optimum: a round before it needs only a rule whose root is lower.  So an
+exact round takes the greedy-and-swap cover, or an LP rounding, whenever
+that rule lowers gamma, and the loop stops on the first round whose cover
+does not, which is then always a proven optimum.  The tests cross-check the
+optimum with a bisection on "does a cover of weight at most one exist".
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +24,7 @@ from enum import Enum
 from .clauses import DNF, Candidates, build_candidates
 from .errors import InfeasibleError, InputError, InternalError
 from .graph import Measure, Region
-from .setcover import CoverProblem, greedy_swap_cover, solve_exact, solve_lp
+from .setcover import CoverProblem, solve_exact, solve_lp
 from .table import BranchingTable, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant
 
 GAMMA_TOL = 1e-12
@@ -70,37 +71,11 @@ def find_gamma(vector) -> float:
         gamma = next_gamma
 
 
-def _descent(problem: CoverProblem, drops, exponents) -> float:
-    """The gamma the exact rounds start from: a greedy-and-swap descent.
-
-    From gamma = 2, each step covers at the current gamma with
-    ``greedy_swap_cover`` and moves to the root of that rule, its vector in
-    ascending candidate order, while the root falls by more than
-    ``GAMMA_TOL``.  A rule of one clause ends the descent where it is, so
-    every round runs at gamma > 1.  Every gamma after the first is the root
-    of a real rule, so it is at least the optimum.
-    """
-    gamma = 2.0
-    for _ in range(MAX_ROUNDS):
-        sol = greedy_swap_cover(problem.at(tuple(gamma ** e for e in exponents)))
-        vector = tuple(drops[i] for i in sol.chosen)
-        if len(vector) == 1:
-            break
-        root = find_gamma(vector)
-        if root >= gamma - GAMMA_TOL:
-            break
-        gamma = root
-    return gamma
-
-
-def _lowers(drops, gamma):
-    """The test a round's LP rounding must pass to replace its MIP: a rule
-    of two or more clauses, its vector in the loop's order, whose root is
+def _lowers(root, gamma):
+    """The test a round's cover must pass for the loop to go on: a rule of
+    two or more clauses whose ``root`` (a function of its chosen indices) is
     below ``gamma`` by more than ``GAMMA_TOL``."""
-    def test(chosen) -> bool:
-        vector = [drops[i] for i in chosen]
-        return len(vector) >= 2 and find_gamma(vector) < gamma - GAMMA_TOL
-    return test
+    return lambda chosen: len(chosen) >= 2 and root(chosen) < gamma - GAMMA_TOL
 
 
 def minimize_gamma(
@@ -111,27 +86,20 @@ def minimize_gamma(
 ) -> OptimalBranchingResult:
     """Fixed-point iteration of Alg-style rule selection.
 
-    Each round solves the covering instance at the current gamma and re-roots
-    gamma from the chosen branching vector; rounds strictly decrease gamma
-    until the fixed point, which the exact solver reaches at the provably
-    minimal gamma.  The loop also stops at the first rule of one clause: its
-    gamma is 1, which no rule beats, so that round's clause is returned.
+    Each round, from gamma = 2, solves the covering instance at the current
+    gamma and re-roots gamma from the chosen branching vector; rounds
+    strictly decrease gamma until the fixed point, which the exact solver
+    reaches at the provably minimal gamma.  The loop also stops at the first
+    rule of one clause: its gamma is 1, which no rule beats, so that round's
+    clause is returned.  ``gamma_trail`` lists the root of every round.
 
-    The exact rounds start where ``_descent`` stops, the relaxed rounds at
-    gamma = 2.  The descent's gamma is 2, or the root of a real rule, which
-    the exact solver's first round matches or beats.  Either way the exact
-    answer is still ``solve_exact``'s cover at the root of the last
-    improving rule; the descent only saves rounds.  ``gamma_trail`` lists
-    the roots of the covering rounds only, not the descent's steps.
-
-    Only the last exact round must be optimal: any earlier one needs only a
-    rule whose root is lower.  So each exact round passes ``solve_exact``
-    the test of ``_lowers``, and a round whose HiGHS relaxation is
-    fractional returns the LP rounding instead of running the MIP whenever
-    that rounding lowers gamma.  The loop then moves to its root as after
-    any improving round.  A rounding never ends the loop (that raises
-    ``InternalError``), so the last round, and with it the answer, is
-    always a proven optimum.
+    One test, ``_lowers``, decides both whether a round moves the loop on
+    and, passed to ``solve_exact``, which unproven covers a round may
+    return: the greedy cover improved by swap moves, or the rounding of a
+    fractional HiGHS relaxation, either only when its rule lowers gamma.
+    Every gamma after 2 is then the root of a real rule, so the Dinkelbach
+    iteration still ends on the optimum; a cover the test refuses is a
+    proven optimum, so the last round, and with it the answer, always is.
 
     Every round runs at gamma > 1, where the weight gamma^-drho falls as
     drho grows, so one ``CoverProblem`` built before the first round serves
@@ -148,25 +116,26 @@ def minimize_gamma(
     drops = candidates.delta_rho
     problem = CoverProblem(universe_size, candidates.coverage, [-d for d in drops])
     exponents = [-float(drops[i]) for i in problem.indices]
-    gamma_old = _descent(problem, drops, exponents) if solver is SolverKind.EXACT else 2.0
+    # a rule's root, its vector in the loop's order; one cover is often met
+    # twice (tested, then re-rooted, or in two rounds), so each is rooted once
+    root = functools.cache(lambda chosen: find_gamma([drops[i] for i in chosen]))
+    gamma_old = 2.0
     trail: list[float] = []
     best = None
     for round_no in range(MAX_ROUNDS):
         inst = problem.at(tuple(gamma_old ** e for e in exponents))
+        lowers = _lowers(root, gamma_old)
         if solver is SolverKind.EXACT:
-            improves = _lowers(drops, gamma_old)
-            sol = solve_exact(inst, improves=improves)
-            if sol.lp_bound is not None and not improves(sol.chosen):
-                raise InternalError("an LP rounding that does not lower gamma ended a round")
+            sol = solve_exact(inst, lowers)
         else:
             sol = solve_lp(inst, seed=(seed ^ (round_no * 0x9E3779B9)) & 0xFFFFFFFFFFFFFFFF)
         vector = tuple(drops[i] for i in sol.chosen)
-        gamma_new = find_gamma(vector)
+        gamma_new = root(sol.chosen)
         trail.append(gamma_new)
         # the exact solver ends on its fixed point; the relaxed one keeps its best round
         if solver is SolverKind.EXACT or best is None or gamma_new < best[0]:
             best = (gamma_new, sol.chosen, vector)
-        if len(vector) == 1 or gamma_new >= gamma_old - GAMMA_TOL:
+        if not lowers(sol.chosen):
             gamma, chosen, vector = best
             return OptimalBranchingResult(
                 rule=DNF(tuple(candidates.clause(i) for i in chosen)),

@@ -24,17 +24,16 @@ optimal; when the LP solution is integral, it is an optimal cover itself;
 only a fractional relaxation runs the mixed-integer program.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
 ties the same way: the greedy cover wins whenever it is optimal.  A caller
-that needs only some good enough cover (the γ loop's rounds before its
-last) may pass a predicate: a fractional relaxation is then rounded first,
-and a rounding the predicate accepts is returned, marked by ``lp_bound``,
-without the MIP.
+that can use any cover passing a test (the γ loop, which wants a rule whose
+root is lower) may pass that test as a predicate.  The greedy cover
+improved by swap moves (``_swap_moves``: one or two chosen sets traded for
+one lighter set) is then offered first, and a fractional relaxation is
+rounded before the MIP; a cover the predicate accepts is returned with no
+proof of optimality.
 ``solve_lp`` solves the same HiGHS relaxation and rounds it with seeded
 inclusion trials, each completed by the same greedy cover and stripped of
 redundant sets by per-element cover counts (``_complete``), as is the
-rounding of ``solve_exact``.  ``greedy_swap_cover`` improves
-the same greedy cover by swapping one or two chosen sets for one lighter
-set, with no proof of optimality; the exact γ loop starts where a descent
-of such covers stops.
+rounding of ``solve_exact``.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -87,7 +86,7 @@ class WmscInstance:
 @dataclass(frozen=True)
 class WmscSolution:
     """A cover's set indices and weight; ``lp_bound`` (the LP optimum) is set
-    only on a cover from an LP rounding, which may not be optimal."""
+    only on ``solve_lp``'s covers, which may not be optimal."""
 
     chosen: tuple[int, ...]
     objective: float
@@ -270,19 +269,6 @@ def _swap_moves(problem: CoverProblem, weights, chosen):
         chosen = sorted(kept)
 
 
-def greedy_swap_cover(inst: PreparedInstance) -> WmscSolution:
-    """``solve_exact``'s greedy incumbent improved by ``_swap_moves``.
-
-    A cover on the same work-scaled weights as ``solve_exact``'s greedy, so
-    its ties break alike at any weight scale, but not a proven optimum.
-    """
-    problem, weights = inst.problem, inst.weights
-    scale, _low = _anchor_scale(problem, weights)
-    work_w = [w * scale for w in weights]
-    chosen, _total = _greedy_cover(problem.sets, work_w, problem.full)
-    return problem.solution(_swap_moves(problem, work_w, chosen), weights)
-
-
 def _dual_ascent(problem: CoverProblem, weights):
     """Feasible duals: raise y_e, scarcest elements first, inside set slacks."""
     slack = list(weights)
@@ -408,8 +394,7 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
         proof of optimality.  Without ``rounding``, or when it returns
         None, one HiGHS MIP over the same columns finds the optimum.
 
-    Returns ``(chosen, bound)``: the chosen set indices, and the LP optimum
-    in the scale of ``weights`` when they are a rounding, else None.
+    Returns the chosen set indices.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -418,19 +403,19 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
     keep = np.flatnonzero(weight < best_obj)
     matrix = matrix[:, keep]
     if not matrix.any(axis=1).all():
-        return list(best_sol), None
+        return list(best_sol)
 
     lift = 2.0 ** (MIP_LIFT_EXP - math.frexp(best_obj)[1])
     cost = weight[keep] * lift
     cutoff = best_obj * lift - MIP_ABS_GAP
     x, lp_obj = _cover_relaxation(matrix, cost)
     if lp_obj >= cutoff:
-        return list(best_sol), None
+        return list(best_sol)
     if np.any(np.minimum(x, 1.0 - x) > LP_INTEGRAL_TOL):
         if rounding is not None:
             rounded = rounding(keep[x > 0.5].tolist())
             if rounded is not None:
-                return rounded, lp_obj / lift
+                return rounded
         res = milp(cost, integrality=np.ones(len(keep)), bounds=Bounds(0.0, 1.0),
                    constraints=LinearConstraint(matrix, lb=1.0),
                    options={"mip_rel_gap": 0.0})
@@ -444,8 +429,8 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
     if got != (1 << universe_size) - 1:
         raise InternalError("HiGHS returned a non-cover")
     if sum(weights[j] for j in chosen) * lift < cutoff:
-        return chosen, None
-    return list(best_sol), None
+        return chosen
+    return list(best_sol)
 
 
 def _anchor_scale(problem: CoverProblem, weights):
@@ -476,36 +461,42 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None) -> WmscSol
     rule of every path.
 
     ``improves``, when given, is a predicate on a cover's chosen indices (as
-    given, ascending).  Before a fractional relaxation runs the MIP, the LP
-    solution is rounded: every set with x > 0.5, completed by the greedy
-    cover of what they leave uncovered, stripped of redundant sets
-    (``_drop_redundant``) and improved by ``_swap_moves``.  When
-    ``improves`` accepts that cover, it is returned instead of the optimum,
-    with ``lp_bound`` set to the LP optimum; every other path, and every
-    call without ``improves``, returns a proven optimum with ``lp_bound``
-    None.
+    given, ascending), and a cover it accepts is returned with no proof of
+    optimality.  Two covers are offered, each improved by ``_swap_moves``
+    first: the greedy cover, before the dual ascent, and, before a
+    fractional relaxation runs the MIP, its rounding (every set with
+    x > 0.5, completed by the greedy cover of what they leave uncovered and
+    stripped of redundant sets by ``_complete``).  A refused swap cover
+    leaves the greedy cover the incumbent, so the tie rule holds.  Every
+    other path, and every call without ``improves``, returns a proven
+    optimum.
     """
     prepared = _prepared(inst)
     problem, weights = prepared.problem, prepared.weights
     scale, _low = _anchor_scale(problem, weights)
     work_w = [w * scale for w in weights]
 
+    def accepted(chosen):
+        """``chosen`` improved by swap moves, if ``improves`` accepts it."""
+        chosen = _swap_moves(problem, work_w, chosen)
+        return chosen if improves(problem.solution(chosen, weights).chosen) else None
+
     greedy_sol, greedy_obj = _greedy_cover(problem.sets, work_w, problem.full)
+    if improves is not None:
+        swapped = accepted(greedy_sol)
+        if swapped is not None:
+            return problem.solution(swapped, weights)
     y = _dual_ascent(problem, work_w)
     incumbent = (greedy_obj, greedy_sol)
     if greedy_obj <= sum(y) + PRUNE_TOL:
         return problem.solution(greedy_sol, weights)
     if len(problem.sets) <= SMALL_SET_LIMIT:
         return problem.solution(_bnb_python(problem, work_w, y, incumbent), weights)
-
-    def rounding(picked):
-        chosen = _swap_moves(problem, work_w, _complete(problem, work_w, picked))
-        return chosen if improves(problem.solution(chosen, weights).chosen) else None
-
-    chosen, bound = _mip_cover(problem.sets, work_w, problem.universe_size, incumbent,
-                               matrix=problem.matrix,
-                               rounding=None if improves is None else rounding)
-    return problem.solution(chosen, weights, None if bound is None else bound / scale)
+    chosen = _mip_cover(problem.sets, work_w, problem.universe_size, incumbent,
+                        matrix=problem.matrix,
+                        rounding=None if improves is None else
+                        lambda picked: accepted(_complete(problem, work_w, picked)))
+    return problem.solution(chosen, weights)
 
 
 def _drop_redundant(elements, weights, picked, universe_size):

@@ -126,10 +126,12 @@ def test_criterion_4_bottleneck_case():
     assert len(cands) == BOTTLENECK_CANDIDATES
     assert tuple(sorted(result.branching_vector)) == BOTTLENECK_VECTOR
     assert abs(result.gamma - BOTTLENECK_GAMMA) < 1e-4
-    # the first exact round (at the descent's 1.08305) returns an LP rounding
-    # in place of its MIP; the rule and both roots are the ones the two MIPs gave
+    # from gamma = 2 four rounds take the greedy-and-swap cover, the fifth (at
+    # 1.08305) an LP rounding in place of its MIP, and the sixth is the
+    # proving MIP; the rule and the last two roots are the ones two MIPs gave
     assert result.chosen_indices == (1259, 1879, 1926, 5894)
-    assert result.gamma_trail == (1.081711631576666, 1.081711631576666)
+    assert result.gamma_trail == (1.1032898209698043, 1.0844956788821176, 1.083084198647903,
+                                  1.08305068440936, 1.081711631576666, 1.081711631576666)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report("4 bottleneck", f"71 rows, 15782 candidates, gamma={result.gamma:.6f}, {elapsed:.1f} s")

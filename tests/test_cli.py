@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from optbranch import bench
 from optbranch.bench import MAX_TASKS
 from optbranch.cli import main
 from optbranch.io import MAX_VERTICES
@@ -137,6 +138,23 @@ class TestBench:
                      "1000000000000", "--out", str(out)]) == 2
         assert f"exceed the limit of {MAX_TASKS} solves" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("avg_degree", ["-1", "nan", "inf"])
+    def test_bad_average_degree_exits_two(self, files, capsys, avg_degree):
+        out = files["dir"] / "never.csv"
+        assert main(["bench", "--gen", "erdos_renyi", "--sizes", "10", "--trials", "1",
+                     "--avg-degree", avg_degree, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: average degree")
+        assert not out.exists()
+
+    def test_missing_out_directory_exits_two_before_any_trial(self, files, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(bench, "_run_one", lambda *args: trials.append(args))
+        out = files["dir"] / "nodir" / "x.csv"
+        assert main(["bench", "--gen", "grid", "--sizes", "9", "--trials", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --out directory")
+        assert not trials
 
     def test_jobs_below_one_exits_two(self, files, capsys):
         assert main(["bench", "--gen", "grid", "--sizes", "9", "--trials", "1",

@@ -36,6 +36,14 @@ class TestErdosRenyi:
     def test_determinism(self):
         assert erdos_renyi(60, 3.0, 9) == erdos_renyi(60, 3.0, 9)
 
+    @pytest.mark.parametrize("avg_degree", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_average_degree_rejected(self, avg_degree):
+        with pytest.raises(InputError, match="average degree"):
+            erdos_renyi(10, avg_degree, 0)
+
+    def test_zero_average_degree_is_edgeless(self):
+        assert erdos_renyi(10, 0.0, 0).m == 0
+
 
 class TestLatticeSubgraphs:
     def test_full_grid_max_degree_four(self):

@@ -114,12 +114,12 @@ def record_exits(monkeypatch):
 
     def mip_cover(covs, weights, universe_size, incumbent, **kwargs):
         integral_calls.clear()
-        chosen, bound = real_mip_cover(covs, weights, universe_size, incumbent, **kwargs)
+        chosen = real_mip_cover(covs, weights, universe_size, incumbent, **kwargs)
         if any(integral_calls):
             exits.append("c")
         elif integral_calls:
             exits.append("a" if chosen == list(incumbent[1]) else "b")
-        return chosen, bound
+        return chosen
 
     monkeypatch.setattr(scipy.optimize, "milp", milp)
     monkeypatch.setattr(setcover, "_mip_cover", mip_cover)
@@ -237,8 +237,9 @@ class TestWidePath:
         assert set(exits) == {"a", "b", "c"}
 
     def test_accepted_rounding_skips_the_mip(self, monkeypatch):
-        """On a fractional LP an accepting ``improves`` gets the rounding and
-        no MIP runs; a refusing one gets the MIP's optimum."""
+        """On a fractional LP a predicate that refuses the swap cover and
+        accepts the rounding gets the rounding and no MIP runs; one that
+        refuses both gets the MIP's optimum."""
         inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
         real_milp = scipy.optimize.milp
         mips = []
@@ -248,41 +249,41 @@ class TestWidePath:
             mips.append(bool(np.any(integrality)))
             return real_milp(c, integrality=integrality, **kwargs)
 
-        def accept(chosen):
+        def accept_second(chosen):
             seen.append(chosen)
-            return True
+            return len(seen) == 2
 
         monkeypatch.setattr(scipy.optimize, "milp", milp)
         optimum = solve_exact(inst)
-        assert mips == [False, True] and optimum.lp_bound is None
+        assert mips == [False, True]
         mips.clear()
-        rounded = solve_exact(inst, improves=accept)
+        rounded = solve_exact(inst, improves=accept_second)
         assert mips == [False]
-        assert seen == [rounded.chosen]
+        assert seen[1] == rounded.chosen
         assert is_cover(rounded, inst)
-        # the odd cycle's LP optimum is 1.5 at x = 1/2, below its optimum 2;
-        # the seven other elements take a unit singleton each
-        assert math.isclose(rounded.lp_bound, 8.5, rel_tol=1e-9)
+        assert rounded.lp_bound is None
+        # the odd cycle's optimum is 2 and the seven other elements take a
+        # unit singleton each
         assert math.isclose(optimum.objective, 9.0, rel_tol=1e-9)
         assert rounded.objective >= optimum.objective
         mips.clear()
         seen.clear()
         refused = solve_exact(inst, improves=lambda chosen: seen.append(chosen) or False)
         assert mips == [False, True]
-        assert len(seen) == 1
+        assert len(seen) == 2
         assert refused == optimum
 
     def test_improves_is_asked_only_before_a_mip(self):
-        """Certified, branch-and-bound and LP-settled covers never consult it."""
-        def never(chosen):
-            raise AssertionError("asked without a fractional LP")
-
+        """Certified, branch-and-bound and LP-settled covers consult it once,
+        for the swap cover, and a refusal leaves the plain call's cover."""
         rng = np.random.default_rng(1729)
         insts = [table2_instance(), WmscInstance(4, (0b0011, 0b1100), (0.3, 0.4)),
                  padded_instance(rng, GREEDY_TRAP), padded_instance(rng, OVERLAP)]
         insts += [random_instance(np.random.default_rng(k)) for k in range(20)]
         for inst in insts:
-            assert solve_exact(inst, improves=never) == solve_exact(inst)
+            seen = []
+            assert solve_exact(inst, improves=lambda c: seen.append(c) or False) == solve_exact(inst)
+            assert len(seen) == 1
 
     @pytest.mark.parametrize("failing", ["LP", "MIP"])
     def test_failed_highs_status_raises(self, monkeypatch, failing):
@@ -469,6 +470,12 @@ def rule_covers(draw):
     return universe, coverage, drops
 
 
+# a rule whose greedy-and-swap cover at its optimal γ is not optimal: a loop
+# that stopped on that unproven cover would end at γ 1.2321, not 1.1673
+SWAP_NOT_OPTIMAL = (7, (44, 44, 44, 83, 18, 72, 72, 18, 9, 55, 55),
+                    (2, 8, 2, 1, 3, 5, 5, 7, 5, 3, 4))
+
+
 def record_rounds(name):
     """Wrap ``optimize.<name>`` to record each round's (args, solution)."""
     real = getattr(optimize, name)
@@ -482,39 +489,70 @@ def record_rounds(name):
     return mock.patch.object(optimize, name, spy), rounds
 
 
+def check_exact_rounds(cands, universe):
+    """Run the exact γ loop and check every round; returns the result and
+    each round's exit: "swap" or "rounding" when ``solve_exact`` returned a
+    cover the loop's predicate accepted, "proven" otherwise.
+
+    A proven round equals the standalone ``solve_exact`` over all
+    candidates at its γ; an accepted one is the last cover the predicate
+    was asked about, a rule of two or more clauses whose root is below γ by
+    more than ``GAMMA_TOL``.  The last round is proven.
+    """
+    coverage, drops = cands.coverage, cands.delta_rho
+    real = optimize.solve_exact
+    rounds = []
+
+    def spy(inst, improves):
+        asked = []
+
+        def recorded(chosen):
+            asked.append((chosen, improves(chosen)))
+            return asked[-1][1]
+
+        sol = real(inst, recorded)
+        rounds.append((sol, asked))
+        return sol
+
+    with mock.patch.object(optimize, "solve_exact", spy):
+        res = minimize_gamma(cands, universe)
+    gammas = (2.0,) + res.gamma_trail[:-1]
+    assert len(rounds) == len(gammas)
+    exits = []
+    for gamma, (sol, asked) in zip(gammas, rounds):
+        verdicts = [verdict for _chosen, verdict in asked]
+        if True in verdicts:
+            exits.append("swap" if verdicts[0] else "rounding")
+            assert asked[-1] == (sol.chosen, True) and verdicts.count(True) == 1
+            assert is_cover(sol, WmscInstance(universe, coverage, (1.0,) * len(drops)))
+            vector = [drops[i] for i in sol.chosen]
+            assert len(vector) >= 2 and find_gamma(vector) < gamma - GAMMA_TOL
+        else:
+            exits.append("proven")
+            weights = tuple(gamma ** -float(d) for d in drops)
+            assert sol == solve_exact(WmscInstance(universe, coverage, weights))
+    assert exits[-1] == "proven"
+    return res, exits
+
+
 class TestCoverProblem:
     """One problem per rule gives, at every γ of the rule's trail, the
     cover that a standalone instance over all candidates gives."""
 
     @pytest.mark.parametrize("limit", [SMALL_SET_LIMIT, 0])  # 0: every search goes to HiGHS
     @given(rule_covers())
+    @example(SWAP_NOT_OPTIMAL)
     @settings(max_examples=80, deadline=None)
     def test_exact_rounds_match_one_shot(self, limit, case):
-        """A proven round equals the standalone cover; a rounded one (lp_bound
-        set) lowers γ by more than ``GAMMA_TOL`` and never ends the loop."""
         universe, coverage, drops = case
         cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), coverage, drops)
-        patch, rounds = record_rounds("solve_exact")
-        descent, starts = record_rounds("_descent")
-        with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit), patch, descent:
-            res = minimize_gamma(cands, universe)
-            # the first exact round runs where the greedy-and-swap descent stopped
-            gammas = (starts[0][2],) + res.gamma_trail[:-1]
-            assert len(rounds) == len(gammas)
-            for gamma, (_args, _kwargs, sol) in zip(gammas, rounds):
-                if sol.lp_bound is None:
-                    weights = tuple(gamma ** -float(d) for d in drops)
-                    assert sol == solve_exact(WmscInstance(universe, coverage, weights))
-                else:
-                    assert is_cover(sol, WmscInstance(universe, coverage, (1.0,) * len(drops)))
-                    vector = [drops[i] for i in sol.chosen]
-                    assert len(vector) >= 2 and find_gamma(vector) < gamma - GAMMA_TOL
-            assert rounds[-1][2].lp_bound is None
+        with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+            check_exact_rounds(cands, universe)
 
     @pytest.mark.parametrize("seed", [40, 297])
     def test_rounded_round_keeps_the_rule(self, seed):
-        """Seeded rules whose first exact round on HiGHS returns an LP rounding
-        end on the rule, γ and proven last round of the loop without it."""
+        """Seeded rules whose rounds on HiGHS take all three exits end on the
+        rule and γ of the loop whose every round is proven."""
         rng = np.random.default_rng(seed)
         universe = int(rng.integers(6, 13))
         coverage = [int(rng.integers(1, 1 << universe)) for _ in range(int(rng.integers(20, 80)))]
@@ -525,27 +563,11 @@ class TestCoverProblem:
         with mock.patch.object(setcover, "SMALL_SET_LIMIT", 0):
             with mock.patch.object(optimize, "solve_exact", lambda inst, improves: real(inst)):
                 want = minimize_gamma(cands, universe)
-            patch, rounds = record_rounds("solve_exact")
-            with patch:
-                got = minimize_gamma(cands, universe)
-        assert [sol.lp_bound is not None for _args, _kwargs, sol in rounds] == [True, False]
+            got, exits = check_exact_rounds(cands, universe)
+        assert set(exits) == {"swap", "rounding", "proven"}
         assert got.chosen_indices == want.chosen_indices
         assert got.gamma == want.gamma
         assert abs(got.gamma - minimize_gamma_bisection(cands, universe)) <= 1e-5
-
-    def test_rounding_never_ends_the_loop(self):
-        """A round marked as an LP rounding that does not lower γ raises."""
-        universe, coverage, drops = 4, (0b0011, 0b1100, 0b1111), (2, 2, 1)
-        cands = Candidates(1, (1,) * 3, (0,) * 3, coverage, drops)
-        real = optimize.solve_exact
-
-        def rounded(inst, improves):
-            sol = real(inst)
-            return WmscSolution(sol.chosen, sol.objective, lp_bound=0.0)
-
-        with mock.patch.object(optimize, "solve_exact", rounded):
-            with pytest.raises(InternalError, match="LP rounding"):
-                minimize_gamma(cands, universe)
 
     @given(rule_covers())
     @settings(max_examples=40, deadline=None)
@@ -616,21 +638,27 @@ class TestSwapMoves:
 
 
 class TestDescentStart:
-    """The exact rounds start where the greedy-and-swap descent stops, and
-    reach the γ that the loop from γ = 2 reaches, in no more rounds."""
+    """The exact rounds from γ = 2, each taking the greedy-and-swap cover
+    when it lowers γ, reach the γ of the loop of proven rounds, and no more
+    of them get past the swap stage than that loop has rounds."""
 
     @given(rule_covers())
+    @example(SWAP_NOT_OPTIMAL)
     @settings(max_examples=120, deadline=None)
     def test_same_gamma_as_the_loop_from_two(self, case):
         universe, coverage, drops = case
         cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), coverage, drops)
         patch, rounds = record_rounds("solve_exact")
-        descent, starts = record_rounds("_descent")
-        with patch, descent:
+        ascents = []
+        real_ascent = setcover._dual_ascent
+        ascent = mock.patch.object(setcover, "_dual_ascent",
+                                   lambda *args: ascents.append(args) or real_ascent(*args))
+        with patch, ascent:
             res = minimize_gamma(cands, universe)
         gamma, oracle_rounds = oracle_minimize_gamma_from_two(cands, universe)
         assert abs(res.gamma - gamma) <= 1e-12
-        # the start is 2, or the root of a real rule and so never below the optimum
-        assert starts[0][2] == 2.0 or starts[0][2] >= res.gamma - 1e-12
-        assert len(rounds) == len(res.gamma_trail) <= oracle_rounds
+        # every γ after 2 is the root of a real rule, so never below the optimum
+        assert min(res.gamma_trail) >= res.gamma - 1e-12
+        assert len(rounds) == len(res.gamma_trail)
+        assert len(ascents) <= oracle_rounds
         assert abs(res.gamma - minimize_gamma_bisection(cands, universe)) <= 1e-5
