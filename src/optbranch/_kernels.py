@@ -17,6 +17,9 @@ have, reached by a star: 2^25 + 1 configurations, 128 MB of int32.  Every
 region the search selects is connected and at most that wide, so only a
 disconnected region (from ``discover``) can pass it, such as 26 edgeless
 vertices with their 2^26 configurations.  Widths up to 31 fit in int32.
+The alpha table of ``config_scan`` has one entry per boundary configuration,
+2^boundary in all; ``table.alpha_tensor`` refuses a region with more than
+``BOUNDARY_LIMIT`` boundary vertices, and the search never selects one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ MAX_WIDTH = 31
 
 # the widest region the search selects and the alpha tensor enumerates
 ENUMERATION_LIMIT = 26
+
+# the most boundary vertices a region the alpha tensor enumerates may have
+BOUNDARY_LIMIT = 16
 
 # a star's count: the most independent configurations of a connected
 # graph on ENUMERATION_LIMIT vertices

@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--no-env-pruning", action="store_true")
     solve.add_argument("--measure", choices=["vc", "ed"], default="ed")
     solve.add_argument("--json", action="store_true")
-    solve.add_argument("--seed", type=int, default=0)
 
     discover = sub.add_parser("discover", help="synthesize the optimal rule for a region")
     discover.add_argument("file")
@@ -57,12 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="declared boundary vertices; default: computed from the host")
     discover.add_argument("--measure", choices=["vc", "ed"], default="vc")
     discover.add_argument("--lp", action="store_true")
-    env = discover.add_mutually_exclusive_group()
-    env.add_argument("--env-pruning", dest="env_pruning", action="store_true", default=None,
-                     help="force pruning against the concrete host environment")
-    env.add_argument("--no-env-pruning", dest="env_pruning", action="store_false",
-                     help="treat the boundary as hypothetical even inside a larger host")
-    discover.add_argument("--seed", type=int, default=0)
+    discover.add_argument("--no-env-pruning", action="store_true",
+                          help="treat the boundary as hypothetical even inside a larger host")
 
     bench = sub.add_parser("bench", help="run the branch-count benchmark")
     bench.add_argument("--gen", required=True, choices=["3regular", "erdos_renyi", "kings", "grid"])
@@ -83,7 +78,7 @@ def _parse_vertex_token(token: str, n: int) -> int:
     token = token.strip()
     if not token:
         raise InputError("empty vertex token")
-    if token.isdigit():
+    if token.isascii() and token.isdigit():
         v = int(token)
     elif len(token) == 1 and token.isalpha():
         v = ord(token.lower()) - ord("a") + 1
@@ -129,10 +124,9 @@ def _solver(args) -> SolverKind:
 
 
 def _config(args) -> SolveConfig:
-    """The search configuration of ``solve`` and ``bench`` (bench replaces
-    the seed per trial)."""
+    """The search configuration of ``solve`` and ``bench``."""
     return SolveConfig(measure=_MEASURES[args.measure], solver_kind=_solver(args),
-                       env_pruning=not args.no_env_pruning, seed=args.seed)
+                       env_pruning=not args.no_env_pruning)
 
 
 def _cmd_solve(args) -> int:
@@ -158,9 +152,8 @@ def _cmd_discover(args) -> int:
     region = region_of(graph, vertices, boundary)
     measure = _MEASURES[args.measure]
     try:
-        table, cands, result = optimal_rule(
-            region, measure, _solver(args), env_pruning=args.env_pruning, seed=args.seed,
-        )
+        table, cands, result = optimal_rule(region, measure, _solver(args),
+                                            env_pruning=not args.no_env_pruning)
     except InfeasibleError as exc:
         # an input property, not a bug: the search itself never meets it, as
         # its kernels have minimum degree 3

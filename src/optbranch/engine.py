@@ -3,12 +3,13 @@
 Each search node reduces its graph to a fixed point (taking pendants,
 folding degree-2 paths, deleting a vertex v whose neighbour u has N[u] a
 subset of N[v]), splits the irreducible kernel into connected components,
-picks the second-order neighborhood with the fewest boundary vertices,
-synthesizes the optimal branching rule for it, and solves one subproblem per
-clause.  The search is depth-first on an explicit stack of nodes, so its
-depth is not bounded by the interpreter's recursion limit.  Rules with a
-single clause are reductions and do not count as branches; a rule with
-k >= 2 clauses adds k to the branch counter.
+picks the second-order neighborhood with the fewest boundary vertices (or,
+when even that one has more than ``_kernels.BOUNDARY_LIMIT``, the single
+vertex of highest degree), synthesizes the optimal branching rule for it,
+and solves one subproblem per clause.  The search is depth-first on an
+explicit stack of nodes, so its depth is not bounded by the interpreter's
+recursion limit.  Rules with a single clause are reductions and do not count
+as branches; a rule with k >= 2 clauses adds k to the branch counter.
 
 Every graph of the search keeps its parent's vertex ids, and fold vertices
 take fresh ids above every id in use, so ids never renumber and no index
@@ -17,8 +18,10 @@ map is threaded through the search: witnesses speak the input's ids
 graph with no vertex of degree <= 2 and no dominated vertex is its own
 kernel, so neither is copied.
 
-Everything is single-threaded and deterministic: identical (graph, config)
-inputs produce identical reports, including branch counts and witnesses.
+Everything is single-threaded and deterministic, the LP-relaxed rule
+selector included (its rounding draws a fixed stream): identical (graph,
+config) inputs produce identical reports, including branch counts and
+witnesses.
 The ``optbranch.engine`` logger (enabled from the CLI by ``OPTBRANCH_LOG``)
 gets one ``debug`` line per synthesized node, with the exact gamma rounds
 its rule took, and one ``info`` summary per ``mis_branch`` call, with the
@@ -49,7 +52,6 @@ class SolveConfig:
     measure: Measure = Measure.EFFECTIVE_DEGREE
     solver_kind: SolverKind = SolverKind.EXACT
     env_pruning: bool = True
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -228,13 +230,19 @@ def select_subgraph(g: Graph) -> Region:
     """Pick the branching region: the radius-``SELECTION_RADIUS`` closed
     neighborhood with the fewest boundary vertices, shrunk toward N[v] and
     finally {v} whenever it would exceed ``_kernels.ENUMERATION_LIMIT``.
-    Ties prefer fewer vertices, then the smallest anchor id."""
+    Ties prefer fewer vertices, then the smallest anchor id.  When even that
+    region has more than ``_kernels.BOUNDARY_LIMIT`` boundary vertices, its
+    tables would have too many keys, and the region is {v} for the vertex of
+    highest degree, lowest id on ties."""
     if not g.vertices:
         raise InputError("cannot select a region in an empty graph")
     adj_mask = g.adj_mask
     radius, limit = SELECTION_RADIUS, _kernels.ENUMERATION_LIMIT
     regions = {v: _region(adj_mask, v, radius, limit) for v in adj_mask}
     best = min(regions, key=lambda v: (regions[v][1], regions[v][0].bit_count()))
+    if regions[best][1] > _kernels.BOUNDARY_LIMIT:
+        hub = min(adj_mask, key=lambda v: (-adj_mask[v].bit_count(), v))
+        return region_of(g, 1 << hub)
     return region_of(g, regions[best][0])
 
 
@@ -294,11 +302,8 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
                 kernel_witness.update(chosen)
                 continue
             nodes += 1
-            rule_seed = (cfg.seed ^ (nodes * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
             table, cands, result = optimal_rule(
-                region, cfg.measure, cfg.solver_kind,
-                env_pruning=cfg.env_pruning, seed=rule_seed,
-            )
+                region, cfg.measure, cfg.solver_kind, env_pruning=cfg.env_pruning)
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("node %d: depth=%d n=%d width=%d rows=%d k=%d gamma=%.6f rounds=%d",
                           nodes, len(stack) - 1, len(comp.adj_mask), region.width, len(table),

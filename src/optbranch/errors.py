@@ -1,9 +1,9 @@
 """Exception hierarchy shared by all optbranch modules.
 
 The CLI maps these onto exit codes: bad user input, a region above the
-enumeration limit or with too many independent configurations to list, and a
-``discover`` region with no rule that lowers the measure exit with 2,
-everything else (internal invariants) exits with 1.
+enumeration limit or the boundary limit or with too many independent
+configurations to list, and a ``discover`` region with no rule that lowers
+the measure exit with 2, everything else (internal invariants) exits with 1.
 """
 
 
@@ -16,8 +16,9 @@ class InputError(OptBranchError):
 
 
 class CapacityError(OptBranchError):
-    """A region is wider than the enumeration limit, or its independent
-    configurations would pass the kernels' listing cap."""
+    """A region is wider than the enumeration limit, has more boundary
+    vertices than the boundary limit, or its independent configurations
+    would pass the kernels' listing cap."""
 
 
 class InfeasibleError(OptBranchError):

@@ -82,7 +82,6 @@ def minimize_gamma(
     candidates: Candidates,
     universe_size: int,
     solver: SolverKind = SolverKind.EXACT,
-    seed: int = 0,
 ) -> OptimalBranchingResult:
     """Fixed-point iteration of Alg-style rule selection.
 
@@ -108,8 +107,9 @@ def minimize_gamma(
     once.  A round computes only its weights and its cover; no cover carries
     over, and ties between equally cheap covers follow ``solve_exact``'s one
     rule: the greedy cover wins.  The relaxed solver may wobble, so its best
-    round wins.  Candidates that cannot cover every row raise
-    ``InfeasibleError`` when the problem is built.
+    round wins; its rounding draws the same fixed trial stream every round.
+    Candidates that cannot cover every row raise ``InfeasibleError`` when
+    the problem is built.
     """
     if not candidates:
         raise InfeasibleError("no candidate clauses")
@@ -122,13 +122,13 @@ def minimize_gamma(
     gamma_old = 2.0
     trail: list[float] = []
     best = None
-    for round_no in range(MAX_ROUNDS):
+    for _ in range(MAX_ROUNDS):
         inst = problem.at(tuple(gamma_old ** e for e in exponents))
         lowers = _lowers(root, gamma_old)
         if solver is SolverKind.EXACT:
             sol = solve_exact(inst, lowers)
         else:
-            sol = solve_lp(inst, seed=(seed ^ (round_no * 0x9E3779B9)) & 0xFFFFFFFFFFFFFFFF)
+            sol = solve_lp(inst)
         vector = tuple(drops[i] for i in sol.chosen)
         gamma_new = root(sol.chosen)
         trail.append(gamma_new)
@@ -152,24 +152,21 @@ def optimal_rule(
     region: Region,
     m: Measure,
     solver: SolverKind = SolverKind.EXACT,
-    env_pruning: bool | None = None,
-    seed: int = 0,
+    env_pruning: bool = True,
 ) -> tuple[BranchingTable, Candidates, OptimalBranchingResult]:
     """Full rule-synthesis pipeline for one region.
 
     Enumerates the alpha tensor, prunes it, groups the survivors, generates
     candidate clauses with their measure reductions, and minimizes gamma over
-    valid rules.  Environment pruning defaults to on exactly when the region
-    sits in a strictly larger host; a region covering its whole host is
-    treated as having a declared, hypothetical boundary, where host-side
-    pruning would be unsound.
+    valid rules.  With ``env_pruning``, the table is also pruned against the
+    host, but only when the region sits strictly inside it: a region covering
+    its whole host has a declared, hypothetical boundary, with no environment
+    to prune against, and host-side pruning would be unsound there.
     """
-    if env_pruning is None:
-        env_pruning = region.vertices != region.host.vertices
     tensor = prune_irrelevant(alpha_tensor(region))
-    if env_pruning:
+    if env_pruning and region.vertices != region.host.vertices:
         tensor = prune_by_environment(tensor)
     table = boundary_grouped(tensor)
     cands = build_candidates(table, region, m)
-    result = minimize_gamma(cands, len(table), solver, seed)
+    result = minimize_gamma(cands, len(table), solver)
     return table, cands, result

@@ -30,10 +30,10 @@ improved by swap moves (``_swap_moves``: one or two chosen sets traded for
 one lighter set) is then offered first, and a fractional relaxation is
 rounded before the MIP; a cover the predicate accepts is returned with no
 proof of optimality.
-``solve_lp`` solves the same HiGHS relaxation and rounds it with seeded
-inclusion trials, each completed by the same greedy cover and stripped of
-redundant sets by per-element cover counts (``_complete``), as is the
-rounding of ``solve_exact``.
+``solve_lp`` solves the same HiGHS relaxation and rounds it with a fixed
+stream of randomized inclusion trials, each completed by the same greedy
+cover and stripped of redundant sets by per-element cover counts
+(``_complete``), as is the rounding of ``solve_exact``.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -120,7 +120,6 @@ class CoverProblem:
                 reps[cov] = idx
         self.universe_size = universe_size
         self.full = (1 << universe_size) - 1
-        self.n_given = len(sets)
         self.indices = sorted(reps.values())
         self.sets = tuple(sets[i] for i in self.indices)
         self.matrix = bit_matrix(self.sets, universe_size).T
@@ -530,20 +529,22 @@ def _complete(problem: CoverProblem, weights, picked):
     return _drop_redundant(problem.elements, weights, picked + repair, problem.universe_size)
 
 
-def solve_lp(inst: WmscInstance | PreparedInstance, seed: int) -> WmscSolution:
-    """LP relaxation plus the best of ``LP_TRIALS`` seeded rounding attempts
-    (one when the relaxation is integral, as every attempt would agree).
+def solve_lp(inst: WmscInstance | PreparedInstance) -> WmscSolution:
+    """LP relaxation plus the best of ``LP_TRIALS`` randomized rounding
+    attempts (one when the relaxation is integral, as every attempt would
+    agree).
 
     The relaxation is HiGHS's, on weights rescaled as in ``solve_exact``,
     over the same cheapest representative per coverage.  Representatives
     heavier than universe * low are left out too: the cheapest sets of all
     elements cover for no more, so the optimum is unchanged, and every cost
-    stays below the universe size.  Each trial draws one uniform number per
-    set as given, picks every representative whose draw falls below its
-    fractional value, completes the pick with ``solve_exact``'s greedy cover
-    of the elements left uncovered, and drops redundant picks, heaviest
-    first.  The returned objective is an upper bound and ``lp_bound`` the LP
-    lower bound.
+    stays below the universe size.  Trial t draws one uniform number per
+    representative from ``np.random.default_rng(t)``, picks every
+    representative whose draw falls below its fractional value, completes
+    the pick with ``solve_exact``'s greedy cover of the elements left
+    uncovered, and drops redundant picks, heaviest first.  So one instance
+    always gets the same cover.  The returned objective is an upper bound
+    and ``lp_bound`` the LP lower bound.
     """
     prepared = _prepared(inst)
     problem, weights = prepared.problem, prepared.weights
@@ -557,16 +558,14 @@ def solve_lp(inst: WmscInstance | PreparedInstance, seed: int) -> WmscSolution:
     x = np.zeros(len(sets))
     x[keep], lp_obj = _cover_relaxation(problem.matrix[:, keep],
                                         np.array([scaled[j] for j in keep]))
-    given = np.array(problem.indices)
     best_picked = None
     best_obj = math.inf
     # a draw lies in [0, 1), so when no x is strictly between 0 and 1 every
     # trial picks the same sets, and the first of equal trials wins
     trials = LP_TRIALS if ((x > 0) & (x < 1)).any() else 1
     for trial in range(trials):
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
-        picked = _complete(problem, scaled,
-                           (rng.random(problem.n_given)[given] < x).nonzero()[0].tolist())
+        draws = np.random.default_rng(trial).random(len(sets))
+        picked = _complete(problem, scaled, (draws < x).nonzero()[0].tolist())
         obj = sum(scaled[j] for j in picked)
         if obj < best_obj - PRUNE_TOL:
             best_obj = obj

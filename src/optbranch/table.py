@@ -71,16 +71,20 @@ def alpha_tensor(r: Region) -> AlphaTensor:
     Every independent local configuration is listed once; the maximum
     popcount per boundary configuration survives.  The listing is kept on
     the tensor for ``boundary_grouped``.  A region wider than
-    ``_kernels.ENUMERATION_LIMIT`` raises ``CapacityError``.
+    ``_kernels.ENUMERATION_LIMIT``, or with more boundary vertices than
+    ``_kernels.BOUNDARY_LIMIT``, raises ``CapacityError`` before anything is
+    allocated.
     """
     limit = _kernels.ENUMERATION_LIMIT
     if r.width > limit:
         raise CapacityError(
             f"region has {r.width} vertices, above the enumeration limit {limit}"
         )
-    configs, pop, key, alpha = _kernels.config_scan(
-        r.width, r.local_adj_masks(), r.boundary_positions()
-    )
+    positions = r.boundary_positions()
+    if len(positions) > _kernels.BOUNDARY_LIMIT:
+        raise CapacityError(f"region has {len(positions)} boundary vertices, above the "
+                            f"boundary limit {_kernels.BOUNDARY_LIMIT}")
+    configs, pop, key, alpha = _kernels.config_scan(r.width, r.local_adj_masks(), positions)
     return AlphaTensor(r, tuple(alpha.tolist()), (configs, pop, key))
 
 

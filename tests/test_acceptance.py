@@ -5,6 +5,7 @@ Timings assert the stated budgets.  The kernels are plain numpy, so nothing
 is compiled or warmed up first: a timed test pays for its own first calls.
 """
 
+import math
 import time
 import zlib
 
@@ -34,6 +35,13 @@ TUTTE_BRANCH_COUNT = 4  # observed deterministic count; must never grow
 
 def _report(tag, detail):
     print(f"ACCEPTANCE {tag}: PASS ({detail})")
+
+
+def _plain_geomean(counts):
+    """exp(mean(ln b)) of the branch counts, or 0 when one of them is 0."""
+    if 0 in counts:
+        return 0.0
+    return math.exp(sum(map(math.log, counts)) / len(counts))
 
 
 def test_criterion_1_fig1_pipeline_golden():
@@ -165,7 +173,7 @@ def test_criterion_6_oracle_equivalence():
             want = oracle_mis(g)
             for kind in (SolverKind.EXACT, SolverKind.LP_RELAXED):
                 for meas in (Measure.VERTEX_COUNT, Measure.EFFECTIVE_DEGREE):
-                    rep = mis_branch(g, SolveConfig(measure=meas, solver_kind=kind, seed=seed))
+                    rep = mis_branch(g, SolveConfig(measure=meas, solver_kind=kind))
                     assert rep.mis_size == want, (gen_name, n, seed, kind, meas)
                     assert g.is_independent(rep.witness)
                     assert len(rep.witness) == want
@@ -234,7 +242,7 @@ def test_criterion_9_wmsc_exactness():
         sol = solve_exact(inst)
         assert is_cover(sol, inst)
         assert abs(sol.objective - want) <= 1e-9
-        lp = solve_lp(inst, seed=int(rng.integers(0, 2**31)))
+        lp = solve_lp(inst)
         assert lp.lp_bound <= want + 1e-9
     _report("9 wmsc-exactness", "500 instances vs enumeration; LP bounds hold")
 
@@ -249,12 +257,21 @@ def test_criterion_10_lp_vs_exact_aggregate():
         from optbranch.generators import three_regular
 
         g = three_regular(n, seed)
-        exact = mis_branch(g, SolveConfig(seed=seed))
-        relaxed = mis_branch(g, SolveConfig(solver_kind=SolverKind.LP_RELAXED, seed=seed))
+        exact = mis_branch(g)
+        relaxed = mis_branch(g, SolveConfig(solver_kind=SolverKind.LP_RELAXED))
         assert exact.mis_size == relaxed.mis_size
         exact_counts.append(exact.branch_count)
         relaxed_counts.append(relaxed.branch_count)
     g_exact = geometric_mean(exact_counts)
     g_relaxed = geometric_mean(relaxed_counts)
     assert g_relaxed >= g_exact
-    _report("10 lp-vs-exact", f"geomean ob={g_exact:.2f} <= ob_relax={g_relaxed:.2f}")
+    # the two solvers differ by a few branches either way on most graphs, so
+    # the report shows that spread beside the geomeans of branches + 1
+    pairs = list(zip(relaxed_counts, exact_counts))
+    below = sum(r < e for r, e in pairs)
+    above = sum(r > e for r, e in pairs)
+    _report("10 lp-vs-exact",
+            f"geomean ob={g_exact:.2f} <= ob_relax={g_relaxed:.2f}; plain geomeans "
+            f"{_plain_geomean(exact_counts):.4f} and {_plain_geomean(relaxed_counts):.4f}; "
+            f"relaxed below/equal/above exact on {below}/{len(pairs) - below - above}/{above} "
+            f"graphs; branches {sum(exact_counts)} and {sum(relaxed_counts)}")

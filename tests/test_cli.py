@@ -1,12 +1,15 @@
+import argparse
 import json
 import multiprocessing
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from optbranch import bench
 from optbranch.bench import MAX_TASKS
-from optbranch.cli import main
+from optbranch.cli import _build_parser, main
 from optbranch.io import MAX_VERTICES
 
 from paper_cases import TUTTE_EDGES
@@ -70,6 +73,34 @@ class TestDiscover:
 
     def test_bad_region_vertex(self, files, capsys):
         assert main(["discover", files["fig1"], "--region", "1,99"]) == 2
+
+    def test_non_ascii_digit_token_exits_two(self, files, capsys):
+        # "²".isdigit() holds, but int() refuses it
+        assert main(["discover", files["fig1"], "--region", "1,²"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse vertex token")
+
+    def test_region_above_boundary_limit_exits_two(self, tmp_path, capsys):
+        # a 26-vertex star has exactly 2^25 + 1 independent configurations,
+        # within the listing cap; its 25 declared boundary leaves would give
+        # tables of 2^25 keys
+        star = tmp_path / "star26.edgelist"
+        star.write_text("".join(f"1 {v}\n" for v in range(2, 27)))
+        region = ",".join(str(v) for v in range(1, 27))
+        boundary = ",".join(str(v) for v in range(2, 27))
+        assert main(["discover", str(star), "--region", region, "--boundary", boundary]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "above the boundary limit 16" in err
+
+    def test_env_pruning_needs_a_larger_host(self, tmp_path, capsys):
+        # path a-b-c with declared boundary {a, c}: the region is its whole
+        # host, so there is no environment to prune against
+        path = tmp_path / "path3.edgelist"
+        path.write_text("1 2\n2 3\n")
+        for flags in ([], ["--no-env-pruning"]):
+            assert main(["discover", str(path), "--region", "a,b,c", "--boundary", "a,c",
+                         *flags]) == 0
+            out = capsys.readouterr().out
+            assert "branching table (2 rows" in out and "γ: 1.2599" in out
 
     def test_region_above_enumeration_limit_exits_two(self, tmp_path, capsys):
         host = tmp_path / "edgeless30.edgelist"
@@ -184,6 +215,24 @@ class TestBench:
         assert main(["bench", "--gen", "3regular", "--sizes", "12:16:4", "--trials", "2",
                      "--jobs", "1000", "--out", str(files["dir"] / "p.csv")]) == 0
         assert requested == want
+
+
+def test_readme_synopsis_lists_every_option():
+    """The option strings of each command in the README's CLI block are the
+    subparser's own."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("optbranch "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(documented) == set(commands)
+    for name, sub in commands.items():
+        options = {s for action in sub._actions for s in action.option_strings}
+        assert documented[name] == options - {"-h", "--help"}, name
 
 
 class TestExitCodes:

@@ -1,6 +1,10 @@
 import inspect
+import json
 import logging
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,11 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+def complete_bipartite(n, extra=()):
+    """K_{n,n} on sides 0..n-1 and n..2n-1, plus the ``extra`` edges."""
+    return Graph(2 * n, [(u, n + v) for u in range(n) for v in range(n)] + list(extra))
 
 
 def random_graph(rng, n, p):
@@ -166,6 +175,18 @@ class TestSelectSubgraph:
         with pytest.raises(InputError):
             select_subgraph(Graph(0, []))
 
+    def test_wide_boundary_falls_back_to_the_highest_degree_vertex(self):
+        # K_{16,16}: N[v] has a boundary of 16, at the limit, so it stays
+        region = select_subgraph(complete_bipartite(16))
+        assert region.vertices.bit_count() == 17
+        assert region.boundary.bit_count() == _kernels.BOUNDARY_LIMIT
+        # K_{17,17} plus the edge 20-21: every region that fits the width
+        # limit has a boundary of 17; 20 and 21 have the highest degree
+        g = complete_bipartite(17, extra=[(20, 21)])
+        region = select_subgraph(g)
+        assert region.vertices == 1 << 20
+        assert region.boundary == 1 << 20
+
 
 def test_components_split():
     g = Graph(5, [(0, 1), (2, 3)])
@@ -243,7 +264,7 @@ SEARCH_PINS = [
     (('kings', 250, 1, 'default'), (78, 3, 8, 5, 0x2d520015548808a2a8200946a8400a55c2014258520502a170a041735001557)),
     (('kings', 500, 2, 'default'), (151, 6, 8, 6, 0x695d404002a1aba1400081aad2c00201aac5400201563380140e918a80222aa32a00a40554314002911a04110aa91a004816a5544000056b55a0000aaaaa9)),
     (('3regular', 40, 1, 'lp'), (18, 4, 2, 2, 0x824cb6ac87)),
-    (('3regular', 60, 3, 'lp'), (26, 17, 8, 3, 0x958c1f1ab2a2451)),
+    (('3regular', 60, 3, 'lp'), (26, 18, 9, 5, 0x2831f6af001b872)),
     (('kings', 60, 6, 'lp'), (19, 0, 0, 0, 0xaa02a80b00aa059)),
     (('kings', 90, 2, 'lp'), (29, 0, 0, 0, 0x46a810c50864a0ca510a31)),
     (('er', 30, 3, 'lp'), (10, 0, 1, 1, 0x44e4891)),
@@ -276,7 +297,7 @@ class TestMisBranch:
             n = int(rng.integers(2, 17))
             g = random_graph(rng, n, float(rng.uniform(0.1, 0.5)))
             want = oracle_mis(g)
-            rep = mis_branch(g, SolveConfig(seed=3))
+            rep = mis_branch(g)
             assert rep.mis_size == want
             assert g.is_independent(rep.witness)
             assert len(rep.witness) == rep.mis_size
@@ -337,12 +358,38 @@ class TestMisBranch:
             assert c.mis_size == a.mis_size + b.mis_size
             assert c.branch_count == a.branch_count + b.branch_count
 
+    def test_complete_bipartite_in_bounded_memory(self):
+        # every region of K_{25,25} that fits the width limit has a boundary
+        # of 25, whose tables would take gigabytes; K_{30,30}'s N[v] is too
+        # wide.  The peak is read in a fresh interpreter, from VmHWM: Linux
+        # carries ru_maxrss across exec, so a child's ru_maxrss starts at the
+        # test runner's own peak
+        script = """if True:
+            import json
+            from optbranch import Graph, mis_branch
+            out = []
+            for n in (25, 30):
+                g = Graph(2 * n, [(u, n + v) for u in range(n) for v in range(n)])
+                rep = mis_branch(g)
+                out.append([n, rep.mis_size, sorted(rep.witness)])
+            with open("/proc/self/status") as status:
+                hwm = next(line for line in status if line.startswith("VmHWM:"))
+            print(json.dumps({"solves": out, "peak_mb": int(hwm.split()[1]) / 1024}))
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        got = json.loads(run.stdout)
+        for n, mis_size, witness in got["solves"]:
+            assert mis_size == n
+            assert complete_bipartite(n).is_independent(witness) and len(witness) == n
+        assert got["peak_mb"] < 128, got["peak_mb"]
+
     def test_deterministic_reports(self):
         rng = np.random.default_rng(101)
         g = random_graph(rng, 24, 0.2)
-        cfg = SolveConfig(seed=11)
-        assert mis_branch(g, cfg) == mis_branch(g, cfg)
-        lp_cfg = SolveConfig(solver_kind=SolverKind.LP_RELAXED, seed=11)
+        assert mis_branch(g) == mis_branch(g)
+        lp_cfg = SolveConfig(solver_kind=SolverKind.LP_RELAXED)
         assert mis_branch(g, lp_cfg) == mis_branch(g, lp_cfg)
 
     def test_rule_stats_recorded(self):
@@ -360,7 +407,7 @@ class TestMisBranch:
             for kind in SolverKind:
                 for measure in Measure:
                     rep = mis_branch(g, SolveConfig(measure=measure, solver_kind=kind,
-                                                    env_pruning=flag, seed=seed))
+                                                    env_pruning=flag))
                     assert rep.mis_size == want, (flag, kind, measure)
                     assert g.is_independent(rep.witness)
                     assert len(rep.witness) == want
@@ -399,7 +446,9 @@ class TestMisBranch:
     def test_search_pinned(self, monkeypatch):
         # (mis_size, branch_count, node_count, max_depth, witness as a mask),
         # re-recorded when reduce_fixpoint began deleting dominating vertices;
-        # kings 250 and 500, which still branch under domination, added later
+        # kings 250 and 500, which still branch under domination, added later;
+        # 3regular 60's lp row re-recorded when the LP rounding stopped
+        # taking a seed
         for (kind, n, seed, cfg_name), want in SEARCH_PINS:
             g = PIN_GRAPHS[kind](n, seed)
             with monkeypatch.context() as patch:

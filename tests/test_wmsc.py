@@ -129,7 +129,7 @@ def record_exits(monkeypatch):
 def test_empty_universe_has_the_empty_cover():
     inst = WmscInstance(0, (), ())
     assert solve_exact(inst) == WmscSolution((), 0, None)
-    assert solve_lp(inst, seed=0) == WmscSolution((), 0, 0.0)
+    assert solve_lp(inst) == WmscSolution((), 0, 0.0)
 
 
 class TestSolveExact:
@@ -302,7 +302,7 @@ class TestWidePath:
             solve_exact(inst)
         if failing == "LP":
             with pytest.raises(InternalError, match="set-cover LP failed"):
-                solve_lp(inst, seed=0)
+                solve_lp(inst)
 
 
 class TestSolveLp:
@@ -311,7 +311,7 @@ class TestSolveLp:
         for _ in range(100):
             inst = random_instance(rng)
             exact = solve_exact(inst)
-            lp = solve_lp(inst, seed=5)
+            lp = solve_lp(inst)
             assert is_cover(lp, inst)
             assert lp.lp_bound <= exact.objective + 1e-9
             assert lp.objective >= exact.objective - 1e-9
@@ -320,7 +320,7 @@ class TestSolveLp:
         # disjoint sets force an integral relaxation
         inst = WmscInstance(4, (0b0011, 0b1100), (0.3, 0.4))
         exact = solve_exact(inst)
-        lp = solve_lp(inst, seed=0)
+        lp = solve_lp(inst)
         assert lp.chosen == exact.chosen
         assert math.isclose(lp.objective, exact.objective, abs_tol=1e-9)
         assert math.isclose(lp.lp_bound, exact.objective, abs_tol=1e-9)
@@ -328,16 +328,16 @@ class TestSolveLp:
     def test_table2_rounding_stays_close(self):
         inst = table2_instance()
         exact = solve_exact(inst)
-        lp = solve_lp(inst, seed=11)
+        lp = solve_lp(inst)
         assert lp.objective <= 1.10 * exact.objective
 
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_instance(self):
         inst = table2_instance()
-        assert solve_lp(inst, seed=3) == solve_lp(inst, seed=3)
+        assert solve_lp(inst) == solve_lp(inst) == solve_lp(table2_instance())
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
-            solve_lp(WmscInstance(3, (0b011,), (1.0,)), seed=0)
+            solve_lp(WmscInstance(3, (0b011,), (1.0,)))
 
     def test_lp_bound_below_optimum_at_tiny_weights(self):
         rng = np.random.default_rng(2024)
@@ -351,32 +351,31 @@ class TestSolveLp:
             insts.append(WmscInstance(inst.universe_size, inst.sets, weights))
         for inst in insts:
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
-            lp = solve_lp(inst, seed=1)
+            lp = solve_lp(inst)
             assert is_cover(lp, inst)
             assert lp.lp_bound <= want * (1.0 + 1e-9)
             assert lp.objective >= want * (1.0 - 1e-9)
 
 
-# (instance, seed, chosen, objective, lp_bound) of solve_lp: the rounding's
+# (instance, chosen, objective, lp_bound) of solve_lp: the rounding's
 # random stream, visiting order and tie rules decide the relaxed search, so
 # a refactor of the rounding must repeat each exactly
 LP_PINS = [
-    ("random0", 0, (0, 1), 0.622914240374826, 0.622914240374826),
-    ("random1", 1, (1, 2, 3), 1.8081090702615992, 1.8081090702615992),
-    ("random2", 2, (2,), 0.08457882236567227, 0.08457882236567227),
-    ("random3", 3, (3, 4, 6), 1.1452995237906065, 1.1452995237906065),
-    ("random4", 4, (0,), 0.057479246833981985, 0.057479246833981985),
-    ("random5", 5, (5, 9), 0.7018586670949188, 0.6767185864883214),
-    ("random6", 6, (5, 6), 0.5298635895249844, 0.4399660021043409),
-    ("random7", 7, (1, 4), 1.3282887362748501, 1.3282887362748501),
-    ("wide0", 100, (59, 123), 2.6020852139652106e-18, 2.6020852139652106e-18),
-    ("wide1", 101, (169, 190), 2.6020852139652106e-18, 2.6020852139652106e-18),
-    ("wide2", 102, (71, 103), 1.734723475976807e-18, 1.734723475976807e-18),
-    ("wide_near1_0", 200, (66, 124), 0.6697959533607684, 0.4911836991312301),
-    ("wide_near1_1", 201, (131, 138), 0.6697959533607684, 0.5090449245541836),
-    ("wide_near1_2", 202, (12, 177), 0.6697959533607684, 0.5251200274348423),
-    ("table2-0", 0, (3, 4, 6), 1.0000000000000002, 1.0000000000000002),
-    ("table2-11", 11, (3, 4, 6), 1.0000000000000002, 1.0000000000000002),
+    ("random0", (0, 1), 0.622914240374826, 0.622914240374826),
+    ("random1", (1, 2, 3), 1.8081090702615992, 1.8081090702615992),
+    ("random2", (2,), 0.08457882236567227, 0.08457882236567227),
+    ("random3", (3, 4, 6), 1.1452995237906065, 1.1452995237906065),
+    ("random4", (0,), 0.057479246833981985, 0.057479246833981985),
+    ("random5", (5, 9), 0.7018586670949188, 0.6767185864883214),
+    ("random6", (5, 6), 0.5298635895249844, 0.4399660021043409),
+    ("random7", (1, 4), 1.3282887362748501, 1.3282887362748501),
+    ("wide0", (59, 123), 2.6020852139652106e-18, 2.6020852139652106e-18),
+    ("wide1", (169, 190), 2.6020852139652106e-18, 2.6020852139652106e-18),
+    ("wide2", (71, 103), 1.734723475976807e-18, 1.734723475976807e-18),
+    ("wide_near1_0", (66, 124), 0.6697959533607684, 0.4911836991312301),
+    ("wide_near1_1", (33, 138), 0.6697959533607684, 0.5090449245541836),
+    ("wide_near1_2", (48, 121), 0.6697959533607684, 0.5251200274348423),
+    ("table2", (3, 4, 6), 1.0000000000000002, 1.0000000000000002),
 ]
 
 
@@ -386,14 +385,14 @@ def _pinned_instances():
     rng = np.random.default_rng(77)
     insts.update({f"wide{k}": wide_instance(rng, 2.0, 0, 60) for k in range(3)})
     insts.update({f"wide_near1_{k}": wide_instance(rng, 1.2, 1, 6) for k in range(3)})
-    insts["table2-0"] = insts["table2-11"] = table2_instance()
+    insts["table2"] = table2_instance()
     return insts
 
 
 def test_solve_lp_pinned():
     insts = _pinned_instances()
-    for name, seed, chosen, objective, lp_bound in LP_PINS:
-        sol = solve_lp(insts[name], seed)
+    for name, chosen, objective, lp_bound in LP_PINS:
+        sol = solve_lp(insts[name])
         assert sol.chosen == chosen, name
         assert sol.objective == objective, name
         assert math.isclose(sol.lp_bound, lp_bound, rel_tol=1e-12), name
@@ -410,12 +409,12 @@ def test_solve_lp_draws_once_when_relaxation_is_integral(monkeypatch):
     monkeypatch.setattr(setcover.np.random, "default_rng", counting)
     # disjoint sets: the relaxation is integral, so every trial would agree
     integral = WmscInstance(4, (0b0011, 0b1100, 0b0110), (0.3, 0.4, 0.9))
-    assert solve_lp(integral, seed=7).chosen == (0, 1)
+    assert solve_lp(integral).chosen == (0, 1)
     assert len(draws) == 1
     # a triangle of pairs: x = 1/2 on every set, so every trial runs
     draws.clear()
     fractional = WmscInstance(3, (0b011, 0b110, 0b101), (1.0, 1.0, 1.0))
-    solve_lp(fractional, seed=7)
+    solve_lp(fractional)
     assert len(draws) == setcover.LP_TRIALS
 
 
@@ -423,14 +422,14 @@ def test_solve_lp_is_irredundant():
     rng = np.random.default_rng(91)
     insts = [random_instance(rng, max_sets=30) for _ in range(150)]
     insts += [wide_instance(rng, 1.1, 1, 8) for _ in range(6)]
-    for seed, inst in enumerate(insts):
-        chosen = solve_lp(inst, seed).chosen
+    for k, inst in enumerate(insts):
+        chosen = solve_lp(inst).chosen
         for drop in chosen:
             rest = 0
             for i in chosen:
                 if i != drop:
                     rest |= inst.sets[i]
-            assert rest != inst.full_mask(), (seed, drop)
+            assert rest != inst.full_mask(), (k, drop)
 
 
 def test_enumeration_oracle_exact_at_tiny_weights():
@@ -576,12 +575,12 @@ class TestCoverProblem:
         cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), coverage, drops)
         patch, rounds = record_rounds("solve_lp")
         with patch:
-            res = minimize_gamma(cands, universe, SolverKind.LP_RELAXED, seed=7)
+            res = minimize_gamma(cands, universe, SolverKind.LP_RELAXED)
             gammas = (2.0,) + res.gamma_trail[:-1]
             assert len(rounds) == len(gammas)
-            for gamma, (_args, kwargs, sol) in zip(gammas, rounds):
+            for gamma, (_args, _kwargs, sol) in zip(gammas, rounds):
                 weights = tuple(gamma ** -float(d) for d in drops)
-                assert sol == solve_lp(WmscInstance(universe, coverage, weights), kwargs["seed"])
+                assert sol == solve_lp(WmscInstance(universe, coverage, weights))
 
     def test_largest_drop_represents_each_coverage(self):
         problem = CoverProblem(2, (0b01, 0b11, 0b01, 0b11, 0b10), (-3, -2, -5, -2, -1))
