@@ -167,6 +167,9 @@ def optimal_rule(
     if env_pruning and region.vertices != region.host.vertices:
         tensor = prune_by_environment(tensor)
     table = boundary_grouped(tensor)
+    # the tensor holds the region's whole enumeration, which nothing reads
+    # past the grouping; freed here, its memory is not held while HiGHS runs
+    del tensor
     cands = build_candidates(table, region, m)
     result = minimize_gamma(cands, len(table), solver)
     return table, cands, result

@@ -21,7 +21,10 @@ and with weights lifted by an exact power of two so that HiGHS's absolute
 gap is negligible.  HiGHS first solves the LP relaxation, a lower bound on
 every cover.  When that bound reaches the incumbent, the incumbent is
 optimal; when the LP solution is integral, it is an optimal cover itself;
-only a fractional relaxation runs the mixed-integer program.  Throughout,
+only a fractional relaxation runs the mixed-integer program.  HiGHS runs
+both without presolve: ``CoverProblem`` has already collapsed the sets to
+one per coverage, which leaves presolve nothing to remove, and with presolve
+on, the MIP restarts its search after fixing columns at the root.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
 ties the same way: the greedy cover wins whenever it is optimal.  A caller
 that can use any cover passing a test (the γ loop, which wants a rule whose
@@ -354,12 +357,13 @@ def _cover_relaxation(matrix, cost):
     """LP relaxation min cost.x, matrix x >= 1, 0 <= x <= 1, solved by HiGHS.
 
     ``milp`` with no integer columns is scipy's cheapest route to the HiGHS
-    LP solver.  Returns ``(x, objective)``.
+    LP solver.  Presolve is off: the columns are already one per coverage,
+    so it removes nothing and only costs time.  Returns ``(x, objective)``.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     res = milp(cost, integrality=np.zeros(len(cost)), bounds=Bounds(0.0, 1.0),
-               constraints=LinearConstraint(matrix, lb=1.0))
+               constraints=LinearConstraint(matrix, lb=1.0), options={"presolve": False})
     if res.status != 0:
         raise InternalError(f"set-cover LP failed: {res.message}")
     return res.x, res.fun
@@ -391,7 +395,10 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
         x > 0.5 and returns a cover built from them that the caller
         accepts, or None; an accepted cover is returned as it is, with no
         proof of optimality.  Without ``rounding``, or when it returns
-        None, one HiGHS MIP over the same columns finds the optimum.
+        None, one HiGHS MIP over the same columns finds the optimum.  It
+        runs without presolve, which cannot shrink these columns but, when
+        on, restarts the search once root reduced-cost fixing has fixed
+        most of them, and repeats the root cuts and heuristics.
 
     Returns the chosen set indices.
     """
@@ -417,7 +424,7 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
                 return rounded
         res = milp(cost, integrality=np.ones(len(keep)), bounds=Bounds(0.0, 1.0),
                    constraints=LinearConstraint(matrix, lb=1.0),
-                   options={"mip_rel_gap": 0.0})
+                   options={"mip_rel_gap": 0.0, "presolve": False})
         if res.status != 0:
             raise InternalError(f"set-cover MIP failed: {res.message}")
         x = res.x

@@ -278,10 +278,13 @@ REGION_PINS = {
 # synthesis of one mis_branch solve, with its syntheses, candidates and
 # branches; recorded as REGION_PINS, except the 3reg60/0/vc and kings400
 # entries, re-recorded when the gamma loop stopped at its first one-clause
-# rule, and the 3reg60 0, 2/vc, 3, 5/vc and kings400 entries, re-recorded
-# when reduce_fixpoint began deleting dominating vertices
+# rule, the 3reg60 0, 2/vc, 3, 5/vc and kings400 entries, re-recorded
+# when reduce_fixpoint began deleting dominating vertices, and the 3reg60/0/vc
+# entry, re-recorded when HiGHS's MIP ran without presolve: its fourth
+# synthesis then picks (14, 58, 87, 229) for (14, 58, 88, 223), a tied
+# optimum with the same vector (11, 7, 7, 11) and gamma
 SEARCH_PINS = {
-    ("3reg60", 0, "vc"): (6, 461, 11, "5541a2d4d4e8d21193d91dbe218abac90e84eaa6c74c42039b93a8f5bdd2bb61"),
+    ("3reg60", 0, "vc"): (6, 470, 9, "54a952a08971c071e6375d0498d173661d48a60d1ed83912df7a5b60cfcb0976"),
     ("3reg60", 0, "ed"): (6, 489, 11, "6b35ce2d4745fab497164597845aa4cc402d71efa759738cc2530ffae25b3d11"),
     ("3reg60", 1, "vc"): (8, 308, 12, "26961dff0b96533ef52fd200f564e0db7575f446ab8b0169d94f77995159a4b6"),
     ("3reg60", 1, "ed"): (10, 478, 17, "ac326b05873eb65189050371f7c08cb45a6a16ac2f417207f394476bf2579913"),

@@ -285,6 +285,27 @@ class TestWidePath:
             assert solve_exact(inst, improves=lambda c: seen.append(c) or False) == solve_exact(inst)
             assert len(seen) == 1
 
+    def test_highs_runs_without_presolve(self, monkeypatch):
+        """Every LP and MIP turns HiGHS's presolve off, and every MIP asks
+        for a zero relative gap: the collapsed problem leaves presolve
+        nothing to remove, and a presolved MIP restarts its search."""
+        real_milp = scipy.optimize.milp
+        calls = []
+
+        def milp(c, *, integrality, options=None, **kwargs):
+            calls.append((bool(np.any(integrality)), options or {}))
+            return real_milp(c, integrality=integrality, options=options, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", milp)
+        inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
+        solve_exact(inst)
+        solve_lp(inst)
+        assert [mip for mip, _ in calls] == [False, True, False]
+        for mip, options in calls:
+            assert options.get("presolve") is False
+            if mip:
+                assert options.get("mip_rel_gap") == 0.0
+
     @pytest.mark.parametrize("failing", ["LP", "MIP"])
     def test_failed_highs_status_raises(self, monkeypatch, failing):
         real_milp = scipy.optimize.milp
