@@ -7,7 +7,8 @@ bit equality).  A DNF over such clauses is a branching rule: each clause
 spawns one branch that fixes its literals.
 
 A region's candidate layer is built in a few integer array passes: the
-closure handles one generation of its worklist at a time (``_closure``),
+closure handles one generation of its worklist at a time, in blocks of
+bounded size (``_closure``),
 and ``delta_rho`` gives the measure reduction of every candidate at once
 from integer products over the host's second neighbourhood N²[R].  Both
 return plain Python ints, so nothing downstream sees a numpy scalar.
@@ -83,11 +84,19 @@ def _pack_rows(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
+# (clause, configuration) pairs the closure tests at once
+CLOSURE_BLOCK = 1 << 16
+
+
 def _unseen(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The keys not in ``seen``, each once, in order of first occurrence."""
-    pool = np.concatenate([seen, keys])
-    _, first = np.unique(pool, return_index=True)
-    return pool[np.sort(first[first >= seen.size])]
+    """The keys not in the sorted array ``seen``, each once, in order of
+    first occurrence."""
+    _, first = np.unique(keys, return_index=True)
+    keys = keys[np.sort(first)]
+    if not seen.size:
+        return keys
+    at = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
+    return keys[seen[at] != keys]
 
 
 def _closure(table: BranchingTable) -> list[tuple[int, int, int]]:
@@ -99,11 +108,15 @@ def _closure(table: BranchingTable) -> list[tuple[int, int, int]]:
     shorten a clause without extending its coverage, so such clauses can
     never improve a rule and are not generated.  The worklist is first in,
     first out, so it is processed one generation at a time: a generation's
-    clauses are tested against every (configuration, row) pair at once, and
-    the next generation is their intersections in (clause, configuration)
-    order, each kept at its first occurrence and only if never seen before.
-    Output is in first-insertion order, which is deterministic.  Masks,
-    values and coverages are Python ints; coverage bit i is row i.
+    clauses are tested against every (configuration, row) pair, and the next
+    generation is their intersections in (clause, configuration) order, each
+    kept at its first occurrence and only if never seen before.  A
+    generation is taken in blocks of about ``CLOSURE_BLOCK`` pairs, each
+    checked against the sorted keys seen so far, which then take in the
+    block's new keys; so the temporaries stay the size of a block, and the
+    order is the one the whole generation at once would give.  Output is in
+    first-insertion order, which is deterministic.  Masks, values and
+    coverages are Python ints; coverage bit i is row i.
     """
     width = table.width
     full = (1 << width) - 1
@@ -114,21 +127,27 @@ def _closure(table: BranchingTable) -> list[tuple[int, int, int]]:
     # every row holds a configuration, so each row's slice is nonempty, as
     # reduceat needs
     starts = np.cumsum([0] + sizes[:-1])
+    step = max(1, CLOSURE_BLOCK // configs.size)
     out: list[tuple[int, int, int]] = []
-    seen = np.empty(0, dtype=np.int64)
-    level = _unseen(seen, (full << width) | configs.astype(np.int64))
+    level = _unseen(np.empty(0, dtype=np.int64), (full << width) | configs.astype(np.int64))
+    seen = np.sort(level)
     while level.size:
-        seen = np.concatenate([seen, level])
-        mask = (level >> width).astype(np.uint32)
-        values = (level & full).astype(np.uint32)
-        hits = (configs & mask[:, None]) == values[:, None]
-        coverage = np.logical_or.reduceat(hits, starts, axis=1)
-        out.extend(zip(mask.tolist(), values.tolist(), _pack_rows(coverage)))
-        shared = mask[:, None] & ~(values[:, None] ^ configs)
-        take = ~coverage[:, row_of] & (shared != 0)
-        shared = shared[take].astype(np.int64)
-        kept = np.repeat(values, take.sum(axis=1)) & shared
-        level = _unseen(seen, (shared << width) | kept)
+        fresh = []
+        for lo in range(0, level.size, step):
+            block = level[lo:lo + step]
+            mask = (block >> width).astype(np.uint32)
+            values = (block & full).astype(np.uint32)
+            hits = (configs & mask[:, None]) == values[:, None]
+            coverage = np.logical_or.reduceat(hits, starts, axis=1)
+            out.extend(zip(mask.tolist(), values.tolist(), _pack_rows(coverage)))
+            shared = mask[:, None] & ~(values[:, None] ^ configs)
+            take = ~coverage[:, row_of] & (shared != 0)
+            shared = shared[take].astype(np.int64)
+            kept = np.repeat(values, take.sum(axis=1)) & shared
+            new = _unseen(seen, (shared << width) | kept)
+            fresh.append(new)
+            seen = np.union1d(seen, new)
+        level = np.concatenate(fresh)
     return out
 
 

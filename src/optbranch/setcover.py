@@ -24,7 +24,11 @@ optimal; when the LP solution is integral, it is an optimal cover itself;
 only a fractional relaxation runs the mixed-integer program.  HiGHS runs
 both without presolve: ``CoverProblem`` has already collapsed the sets to
 one per coverage, which leaves presolve nothing to remove, and with presolve
-on, the MIP restarts its search after fixing columns at the root.  Throughout,
+on, the MIP restarts its search after fixing columns at the root.  The MIP
+alone is bounded by the incumbent's weight, so HiGHS prunes every node that
+cannot beat it, and runs without the RENS and RINS sub-MIP heuristics, which
+took half of the bottleneck's proving MIP to find an optimal cover; a MIP
+that the bound leaves infeasible keeps the incumbent.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
 ties the same way: the greedy cover wins whenever it is optimal.  A caller
 that can use any cover passing a test (the γ loop, which wants a rule whose
@@ -47,6 +51,7 @@ magnitude; reported objectives are always in the caller's scale.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +68,9 @@ MIP_LIFT_EXP = 20
 MIP_ABS_GAP = 1e-6
 
 LP_INTEGRAL_TOL = 1e-9
+
+# milp's status for an infeasible problem
+MIP_INFEASIBLE = 2
 
 LP_TRIALS = 32
 
@@ -398,7 +406,20 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
         None, one HiGHS MIP over the same columns finds the optimum.  It
         runs without presolve, which cannot shrink these columns but, when
         on, restarts the search once root reduced-cost fixing has fixed
-        most of them, and repeats the root cuts and heuristics.
+        most of them, and repeats the root cuts and heuristics.  HiGHS's
+        ``objective_bound`` is the lifted incumbent, so it prunes every
+        node that cannot beat the cover the MIP's answer would have to
+        beat, and its RENS and RINS sub-MIP heuristics are off: they look
+        for good covers, and on the bottleneck's proving MIP took half the
+        solve to find one.  ``milp`` passes these three options to HiGHS
+        verbatim and warns that it does; that one warning is silenced.
+        The LP gets none of them, as a bound would end its dual simplex
+        early.  Status 2 (infeasible) from the MIP
+        means no cover lies below the bound, since the kept columns cover
+        the universe, so the incumbent stands; a returned cover that is not
+        below the cutoff (HiGHS may return one as optimal under the bound)
+        leaves it too, by the rule above.  Every other failed status
+        raises.
 
     Returns the chosen set indices.
     """
@@ -422,9 +443,19 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
             rounded = rounding(keep[x > 0.5].tolist())
             if rounded is not None:
                 return rounded
-        res = milp(cost, integrality=np.ones(len(keep)), bounds=Bounds(0.0, 1.0),
-                   constraints=LinearConstraint(matrix, lb=1.0),
-                   options={"mip_rel_gap": 0.0, "presolve": False})
+        with warnings.catch_warnings():
+            # milp passes the options it does not know to HiGHS verbatim, and
+            # says so with this warning
+            warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                    RuntimeWarning)
+            res = milp(cost, integrality=np.ones(len(keep)), bounds=Bounds(0.0, 1.0),
+                       constraints=LinearConstraint(matrix, lb=1.0),
+                       options={"mip_rel_gap": 0.0, "presolve": False,
+                                "objective_bound": best_obj * lift,
+                                "mip_heuristic_run_rens": False,
+                                "mip_heuristic_run_rins": False})
+        if res.status == MIP_INFEASIBLE:
+            return list(best_sol)
         if res.status != 0:
             raise InternalError(f"set-cover MIP failed: {res.message}")
         x = res.x
@@ -461,7 +492,8 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None) -> WmscSol
     ``SMALL_SET_LIMIT`` distinct sets run the Python branch-and-bound, and
     wider instances go to HiGHS over the sets lighter than the incumbent,
     with weights lifted by an exact power of two: the LP relaxation first,
-    and the MIP only when the relaxation is fractional (see ``_mip_cover``).
+    and the MIP, bounded by the incumbent, only when the relaxation is
+    fractional (see ``_mip_cover``).
     Only a strictly cheaper cover replaces the incumbent, so of several tied
     optima the greedy cover wins whenever it is one of them: the one tie
     rule of every path.

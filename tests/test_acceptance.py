@@ -138,9 +138,11 @@ def test_criterion_4_bottleneck_case():
     # 1.08305) an LP rounding in place of its MIP, and the sixth is the
     # proving MIP, whose optimum is not unique: the rounding's rule (1259,
     # 1879, 1926, 5894) ties with the cover below, which HiGHS's MIP returns
-    # without presolve (with presolve it returned the rounding's); both have
-    # the vector {10,16,26,26}, so gamma and the trail are the same
-    assert result.chosen_indices == (605, 647, 1259, 8478)
+    # without presolve, bounded by the incumbent and without the RENS and
+    # RINS heuristics (with presolve it returned the rounding's, and without
+    # presolve alone (605, 647, 1259, 8478)); all have the vector
+    # {10,16,26,26}, so gamma and the trail are the same
+    assert result.chosen_indices == (569, 708, 1259, 8539)
     assert result.gamma_trail == (1.1032898209698043, 1.0844956788821176, 1.083084198647903,
                                   1.08305068440936, 1.081711631576666, 1.081711631576666)
     elapsed = time.perf_counter() - start

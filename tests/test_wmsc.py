@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -91,6 +92,10 @@ ODD_CYCLE = (0b011, 0b110, 0b101)
 # greedy takes {0,1,2,3} first (1/4 per element) and then still needs the
 # other two sets, which alone cover all six elements: the LP is integral
 GREEDY_TRAP = (0b001111, 0b010011, 0b101100)
+# the greedy trap on elements 0-5 beside the odd cycle on 6-8: the greedy
+# cover weighs 6, the LP 4.5 and the optimum 5, so the MIP improves on the
+# greedy incumbent
+TRAP_AND_CYCLE = GREEDY_TRAP + tuple(cov << 6 for cov in ODD_CYCLE)
 # both sets are needed, so greedy is optimal and the LP is tight; padded, the
 # shared element 2 has the fewest covering sets, so the dual ascent raises it
 # first and stops one short of the optimum
@@ -288,42 +293,111 @@ class TestWidePath:
     def test_highs_runs_without_presolve(self, monkeypatch):
         """Every LP and MIP turns HiGHS's presolve off, and every MIP asks
         for a zero relative gap: the collapsed problem leaves presolve
-        nothing to remove, and a presolved MIP restarts its search."""
+        nothing to remove, and a presolved MIP restarts its search.  Every
+        MIP is bounded by its lifted incumbent and runs without the RENS and
+        RINS heuristics; no LP gets those options, as a bound would end its
+        dual simplex early."""
         real_milp = scipy.optimize.milp
+        real_mip_cover = setcover._mip_cover
         calls = []
+        incumbents = []
 
         def milp(c, *, integrality, options=None, **kwargs):
-            calls.append((bool(np.any(integrality)), options or {}))
+            calls.append((bool(np.any(integrality)), dict(options or {})))
             return real_milp(c, integrality=integrality, options=options, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "milp", milp)
-        inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
-        solve_exact(inst)
-        solve_lp(inst)
-        assert [mip for mip, _ in calls] == [False, True, False]
-        for mip, options in calls:
-            assert options.get("presolve") is False
-            if mip:
-                assert options.get("mip_rel_gap") == 0.0
+        def mip_cover(covs, weights, universe_size, incumbent, **kwargs):
+            incumbents.append(incumbent[0])
+            return real_mip_cover(covs, weights, universe_size, incumbent, **kwargs)
 
-    @pytest.mark.parametrize("failing", ["LP", "MIP"])
-    def test_failed_highs_status_raises(self, monkeypatch, failing):
+        monkeypatch.setattr(scipy.optimize, "milp", milp)
+        monkeypatch.setattr(setcover, "_mip_cover", mip_cover)
+        rng = np.random.default_rng(1729)
+        for core in (ODD_CYCLE, TRAP_AND_CYCLE):
+            calls.clear()
+            incumbents.clear()
+            inst = padded_instance(rng, core)
+            solve_exact(inst)
+            solve_lp(inst)
+            assert [mip for mip, _ in calls] == [False, True, False]
+            best_obj, = incumbents
+            lifted = best_obj * 2.0 ** (setcover.MIP_LIFT_EXP - math.frexp(best_obj)[1])
+            assert 2.0 ** (setcover.MIP_LIFT_EXP - 1) <= lifted < 2.0 ** setcover.MIP_LIFT_EXP
+            for mip, options in calls:
+                if mip:
+                    assert options == {"mip_rel_gap": 0.0, "presolve": False,
+                                       "objective_bound": lifted,
+                                       "mip_heuristic_run_rens": False,
+                                       "mip_heuristic_run_rins": False}
+                else:
+                    assert options == {"presolve": False}
+
+    @pytest.mark.parametrize("failing, status", [("LP", 1), ("MIP", 1), ("LP", 2), ("MIP", 2)],
+                             ids=["LP", "MIP", "LP-infeasible", "MIP-infeasible"])
+    def test_failed_highs_status_raises(self, monkeypatch, failing, status):
+        """Every status but 0 raises, except status 2 (infeasible) on the
+        MIP: the kept columns cover the universe, so only the incumbent's
+        bound can make it infeasible, and the incumbent stands."""
         real_milp = scipy.optimize.milp
 
         def milp(c, *, integrality, **kwargs):
             res = real_milp(c, integrality=integrality, **kwargs)
             if ("MIP" if np.any(integrality) else "LP") == failing:
-                res.status = 1
-                res.message = "Time limit reached."
+                res.status = status
+                res.message = "Time limit reached." if status == 1 else "Infeasible."
+                res.x = res.fun = None
             return res
 
+        inst = padded_instance(np.random.default_rng(1729), TRAP_AND_CYCLE)
+        optimum = solve_exact(inst)
         monkeypatch.setattr(scipy.optimize, "milp", milp)
-        inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
+        if (failing, status) == ("MIP", 2):
+            # the greedy incumbent, not the MIP's lighter cover
+            sol = solve_exact(inst)
+            assert is_cover(sol, inst)
+            assert math.isclose(optimum.objective, 5.0, rel_tol=1e-9)
+            assert math.isclose(sol.objective, 6.0, rel_tol=1e-9)
+            return
         with pytest.raises(InternalError, match=f"set-cover {failing} failed"):
             solve_exact(inst)
         if failing == "LP":
             with pytest.raises(InternalError, match="set-cover LP failed"):
                 solve_lp(inst)
+
+    def test_instances_reaching_the_mip_match_dp_oracle(self, monkeypatch):
+        """Padded random cores and wide instances whose LP is fractional run
+        the bounded MIP, and each gets the DP optimum: a MIP that finds no
+        cover below the incumbent's bound leaves the incumbent.  Weights
+        1.0000001^-drho put covers within a hair of each other, so a bound
+        even slightly below the incumbent would lose an optimum."""
+        exits = record_exits(monkeypatch)
+        rng = np.random.default_rng(31337)
+        mips = 0
+        for k in range(60):
+            if k % 3 == 0:
+                core = [int(rng.integers(1, 1 << 10)) for _ in range(int(rng.integers(4, 9)))]
+                inst = padded_instance(rng, tuple(core))
+            else:
+                inst = wide_instance(rng, 1.1 if k % 3 == 1 else 1.0 + 2.0 ** -23, 4, 30)
+            exits.clear()
+            sol = solve_exact(inst)
+            want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+            assert is_cover(sol, inst)
+            assert math.isclose(sol.objective, want, rel_tol=1e-9), k
+            mips += exits == ["c"]
+        assert mips >= 30
+
+    def test_no_warning_escapes_a_mip(self, monkeypatch):
+        """The options milp passes through verbatim raise no warning outside
+        ``_mip_cover``, and HiGHS accepts every one of them (it would reject
+        one with an ``OptimizeWarning``, and drop it)."""
+        exits = record_exits(monkeypatch)
+        inst = padded_instance(np.random.default_rng(1729), TRAP_AND_CYCLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_exact(inst)
+        assert exits == ["c"]
+        assert math.isclose(sol.objective, 5.0, rel_tol=1e-9)
 
 
 class TestSolveLp:
