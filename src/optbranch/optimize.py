@@ -10,7 +10,10 @@ reaches the global optimum, and only its last round must be a proven
 optimum: a round before it needs only a rule whose root is lower.  So an
 exact round takes the greedy-and-swap cover, or an LP rounding, whenever
 that rule lowers gamma, and the loop stops on the first round whose cover
-does not, which is then always a proven optimum.  The tests cross-check the
+does not, which is then always a proven optimum.  Each round after the first
+starts from the previous round's rule, which weighs 1 at its own root, so it
+has only to find a lighter cover or prove that none exists; at the fixed
+point it proves it, and returns that rule.  The tests cross-check the
 optimum with a bisection on "does a cover of weight at most one exist".
 """
 
@@ -99,15 +102,21 @@ def minimize_gamma(
     Every gamma after 2 is then the root of a real rule, so the Dinkelbach
     iteration still ends on the optimum; a cover the test refuses is a
     proven optimum, so the last round, and with it the answer, always is.
+    Every exact round after the first passes the rule of the round before
+    to ``solve_exact`` as its incumbent.  It weighs 1 at the current gamma,
+    its root, so a round has only to beat it, and the last round, which
+    proves that nothing does, returns that rule itself, whose root the test
+    refuses.
 
     Every round runs at gamma > 1, where the weight gamma^-drho falls as
     drho grows, so one ``CoverProblem`` built before the first round serves
     them all: each coverage collapses to its candidate of largest drho,
     lowest index on ties, and the covering lists and HiGHS matrix are built
-    once.  A round computes only its weights and its cover; no cover carries
-    over, and ties between equally cheap covers follow ``solve_exact``'s one
-    rule: the greedy cover wins.  The relaxed solver may wobble, so its best
-    round wins; its rounding draws the same fixed trial stream every round.
+    once.  A round computes only its weights and its cover, and ties between
+    equally cheap covers follow ``solve_exact``'s one rule: the incumbent,
+    the previous rule whenever it is no heavier than the greedy cover, wins.
+    The relaxed solver takes no incumbent and may wobble, so its best round
+    wins; its rounding draws the same fixed trial stream every round.
     Candidates that cannot cover every row raise ``InfeasibleError`` when
     the problem is built.
     """
@@ -126,7 +135,7 @@ def minimize_gamma(
         inst = problem.at(tuple(gamma_old ** e for e in exponents))
         lowers = _lowers(root, gamma_old)
         if solver is SolverKind.EXACT:
-            sol = solve_exact(inst, lowers)
+            sol = solve_exact(inst, lowers, incumbent=None if best is None else best[1])
         else:
             sol = solve_lp(inst)
         vector = tuple(drops[i] for i in sol.chosen)

@@ -7,14 +7,16 @@ elements of every set, the sets covering each element and the HiGHS 0/1
 matrix.  It serves every instance whose weights rank the sets alike, as the
 γ rounds of one rule's synthesis do (weights γ^-δρ at γ > 1); a standalone
 ``WmscInstance`` gets a problem of its own.  So the structure carries over
-between the instances of one problem, but no cover does: each solve starts
-from its own greedy incumbent.
+between the instances of one problem; a cover carries over only when the
+caller passes one in.
 
-``solve_exact`` is a proven-optimal search built around that greedy
-incumbent (weight per newly covered element, include-first), and a
-dual-ascent certificate settles easy instances outright.  Small instances
-then run an element-disjunction branch-and-bound whose nodes are cut with
-the stronger of the dual bound and the greedy fractional completion bound.
+``solve_exact`` is a proven-optimal search built around an incumbent: the
+greedy cover (weight per newly covered element, include-first), or a cover
+the caller passes in when it is no heavier (the γ loop passes its previous
+round's rule), and a dual-ascent certificate settles easy instances
+outright.  Small instances then run an element-disjunction branch-and-bound
+whose nodes are cut with the stronger of the dual bound and the greedy
+fractional completion bound.
 Wide instances (thousands of sets, as rule synthesis produces on large
 regions) go to HiGHS instead, over only the sets lighter than the incumbent
 and with weights lifted by an exact power of two so that HiGHS's absolute
@@ -30,7 +32,7 @@ cannot beat it, and runs without the RENS and RINS sub-MIP heuristics, which
 took half of the bottleneck's proving MIP to find an optimal cover; a MIP
 that the bound leaves infeasible keeps the incumbent.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
-ties the same way: the greedy cover wins whenever it is optimal.  A caller
+ties the same way: the incumbent wins whenever it is optimal.  A caller
 that can use any cover passing a test (the γ loop, which wants a rule whose
 root is lower) may pass that test as a predicate.  The greedy cover
 improved by swap moves (``_swap_moves``: one or two chosen sets traded for
@@ -120,7 +122,8 @@ class CoverProblem:
     - ``matrix``, the 0/1 element-by-set matrix that HiGHS is given.
 
     An instance (``at``) weighs the representatives only; every solution
-    names sets by their index in ``sets`` as given.
+    names sets by their index in ``sets`` as given, and ``representative[i]``
+    is the representative of given set i.
     """
 
     def __init__(self, universe_size: int, sets, costs):
@@ -133,6 +136,8 @@ class CoverProblem:
         self.full = (1 << universe_size) - 1
         self.indices = sorted(reps.values())
         self.sets = tuple(sets[i] for i in self.indices)
+        position = {cov: j for j, cov in enumerate(self.sets)}
+        self.representative = [position[cov] for cov in sets]
         self.matrix = bit_matrix(self.sets, universe_size).T
         per_set = np.count_nonzero(self.matrix, axis=0).tolist()
         per_element = np.count_nonzero(self.matrix, axis=1).tolist()
@@ -148,6 +153,23 @@ class CoverProblem:
     def at(self, weights: tuple[float, ...]) -> PreparedInstance:
         """The instance that weighs representative j by ``weights[j]``."""
         return PreparedInstance(self, weights)
+
+    def represent(self, given) -> list[int]:
+        """The representatives of the given set indices ``given``, ascending.
+
+        Each representative covers what its given set covers, and is never
+        heavier.  Raises ``InputError`` unless they cover the universe.
+        """
+        chosen = set()
+        covered = 0
+        for i in given:
+            if not 0 <= i < len(self.representative):
+                raise InputError(f"set index {i} out of range")
+            chosen.add(self.representative[i])
+            covered |= self.sets[self.representative[i]]
+        if covered != self.full:
+            raise InputError("the incumbent does not cover the universe")
+        return sorted(chosen)
 
     def solution(self, chosen, weights, lp_bound=None) -> WmscSolution:
         """The cover of representatives ``chosen``, named by given index."""
@@ -304,9 +326,9 @@ def _bnb_python(problem: CoverProblem, weights, y, incumbent):
     elements among the sets still open to it).  It branches on the element
     with the fewest open sets, lowest first; a child's set and its earlier
     siblings are closed to the child's subtree.  ``incumbent`` is
-    (objective, chosen-list); only strictly better covers replace it, so the
-    greedy solution wins all exact ties.  Returns the chosen set indices of
-    the best cover found.
+    (objective, chosen-list); only strictly better covers replace it, so it
+    wins all exact ties.  Returns the chosen set indices of the best cover
+    found.
     """
     covs, covering = problem.sets, problem.covering
     best_obj, best_sol = incumbent
@@ -483,20 +505,24 @@ def _anchor_scale(problem: CoverProblem, weights):
     return 2.0 ** -math.frexp(low)[1], low
 
 
-def solve_exact(inst: WmscInstance | PreparedInstance, improves=None) -> WmscSolution:
+def solve_exact(inst: WmscInstance | PreparedInstance, improves=None, *,
+                incumbent=None) -> WmscSolution:
     """Minimum-weight cover; deterministic, exact within the stated tolerances.
 
     Sets with equal coverage collapse to their cheapest representative, once
-    per ``CoverProblem``.  The greedy cover is the incumbent and is returned
-    outright when the dual ascent certifies it.  Otherwise up to
-    ``SMALL_SET_LIMIT`` distinct sets run the Python branch-and-bound, and
-    wider instances go to HiGHS over the sets lighter than the incumbent,
-    with weights lifted by an exact power of two: the LP relaxation first,
-    and the MIP, bounded by the incumbent, only when the relaxation is
-    fractional (see ``_mip_cover``).
+    per ``CoverProblem``.  The incumbent is the greedy cover or, when given
+    and no heavier than it within ``PRUNE_TOL``, ``incumbent``: a cover
+    named by given set indices, each standing for its representative.  The
+    incumbent is returned outright when the dual ascent certifies it.
+    Otherwise up to ``SMALL_SET_LIMIT`` distinct sets run the Python
+    branch-and-bound, and wider instances go to HiGHS over the sets lighter
+    than the incumbent, with weights lifted by an exact power of two: the LP
+    relaxation first, and the MIP, bounded by the incumbent, only when the
+    relaxation is fractional (see ``_mip_cover``).
     Only a strictly cheaper cover replaces the incumbent, so of several tied
-    optima the greedy cover wins whenever it is one of them: the one tie
-    rule of every path.
+    optima the incumbent wins whenever it is one of them: the one tie rule
+    of every path.  An ``incumbent`` that names an index out of range or
+    does not cover raises ``InputError``.
 
     ``improves``, when given, is a predicate on a cover's chosen indices (as
     given, ascending), and a cover it accepts is returned with no proof of
@@ -505,12 +531,12 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None) -> WmscSol
     fractional relaxation runs the MIP, its rounding (every set with
     x > 0.5, completed by the greedy cover of what they leave uncovered and
     stripped of redundant sets by ``_complete``).  A refused swap cover
-    leaves the greedy cover the incumbent, so the tie rule holds.  Every
-    other path, and every call without ``improves``, returns a proven
-    optimum.
+    leaves the incumbent as it was, so the tie rule holds.  Every other
+    path, and every call without ``improves``, returns a proven optimum.
     """
     prepared = _prepared(inst)
     problem, weights = prepared.problem, prepared.weights
+    given = None if incumbent is None else problem.represent(incumbent)
     scale, _low = _anchor_scale(problem, weights)
     work_w = [w * scale for w in weights]
 
@@ -519,18 +545,22 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None) -> WmscSol
         chosen = _swap_moves(problem, work_w, chosen)
         return chosen if improves(problem.solution(chosen, weights).chosen) else None
 
-    greedy_sol, greedy_obj = _greedy_cover(problem.sets, work_w, problem.full)
+    best_sol, best_obj = _greedy_cover(problem.sets, work_w, problem.full)
     if improves is not None:
-        swapped = accepted(greedy_sol)
+        swapped = accepted(best_sol)
         if swapped is not None:
             return problem.solution(swapped, weights)
+    if given is not None:
+        given_obj = sum(work_w[j] for j in given)
+        if given_obj <= best_obj + PRUNE_TOL:
+            best_sol, best_obj = given, given_obj
     y = _dual_ascent(problem, work_w)
-    incumbent = (greedy_obj, greedy_sol)
-    if greedy_obj <= sum(y) + PRUNE_TOL:
-        return problem.solution(greedy_sol, weights)
+    if best_obj <= sum(y) + PRUNE_TOL:
+        return problem.solution(best_sol, weights)
+    best = (best_obj, best_sol)
     if len(problem.sets) <= SMALL_SET_LIMIT:
-        return problem.solution(_bnb_python(problem, work_w, y, incumbent), weights)
-    chosen = _mip_cover(problem.sets, work_w, problem.universe_size, incumbent,
+        return problem.solution(_bnb_python(problem, work_w, y, best), weights)
+    chosen = _mip_cover(problem.sets, work_w, problem.universe_size, best,
                         matrix=problem.matrix,
                         rounding=None if improves is None else
                         lambda picked: accepted(_complete(problem, work_w, picked)))

@@ -134,15 +134,14 @@ def test_criterion_4_bottleneck_case():
     assert len(cands) == BOTTLENECK_CANDIDATES
     assert tuple(sorted(result.branching_vector)) == BOTTLENECK_VECTOR
     assert abs(result.gamma - BOTTLENECK_GAMMA) < 1e-4
-    # from gamma = 2 four rounds take the greedy-and-swap cover, the fifth (at
-    # 1.08305) an LP rounding in place of its MIP, and the sixth is the
-    # proving MIP, whose optimum is not unique: the rounding's rule (1259,
-    # 1879, 1926, 5894) ties with the cover below, which HiGHS's MIP returns
-    # without presolve, bounded by the incumbent and without the RENS and
-    # RINS heuristics (with presolve it returned the rounding's, and without
-    # presolve alone (605, 647, 1259, 8478)); all have the vector
-    # {10,16,26,26}, so gamma and the trail are the same
-    assert result.chosen_indices == (569, 708, 1259, 8539)
+    # from gamma = 2 four rounds take the greedy-and-swap cover, and the fifth
+    # (at 1.08305) an LP rounding in place of its MIP: the rule below.  The
+    # sixth starts from that rule as its incumbent, which weighs 1 at its own
+    # root, and its MIP proves that no cover is lighter, so it returns the
+    # rule itself.  The optimum is not unique: a proving MIP that starts from
+    # the greedy cover returns (569, 708, 1259, 8539), a tied cover of the
+    # same vector {10,16,26,26}, so gamma and the trail are the same
+    assert result.chosen_indices == (1259, 1867, 2168, 5894)
     assert result.gamma_trail == (1.1032898209698043, 1.0844956788821176, 1.083084198647903,
                                   1.08305068440936, 1.081711631576666, 1.081711631576666)
     elapsed = time.perf_counter() - start

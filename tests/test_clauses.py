@@ -300,20 +300,21 @@ REGION_PINS = {
 # branches; recorded as REGION_PINS, except the 3reg60/0/vc and kings400
 # entries, re-recorded when the gamma loop stopped at its first one-clause
 # rule, the 3reg60 0, 2/vc, 3, 5/vc and kings400 entries, re-recorded
-# when reduce_fixpoint began deleting dominating vertices, and the 3reg60/0/vc
-# entry, re-recorded twice since: when HiGHS's MIP ran without presolve its
-# fourth synthesis picked (14, 58, 87, 229) for (14, 58, 88, 223), a tied
-# optimum with the same vector (11, 7, 7, 11) and gamma, and once the MIP
-# was bounded by its incumbent and ran without the RENS and RINS heuristics
-# it picks (14, 58, 88, 223) again, so the entry is back to its value before
+# when reduce_fixpoint began deleting dominating vertices, and the 3reg60
+# 0, 2 and 3/vc entries, which follow ties at equal gamma: each has a
+# synthesis with tied optimal rules of one vector, and each exact gamma
+# round after the first keeps the previous round's rule on such a tie.  So
+# 0/vc's fourth synthesis picks (14, 58, 77, 224) of vector (11, 7, 11, 7),
+# 2/vc's sixth (3, 5, 6, 8, 24) and 3/vc's fifth (34, 56), and the searches
+# that follow differ
 SEARCH_PINS = {
-    ("3reg60", 0, "vc"): (6, 461, 11, "5541a2d4d4e8d21193d91dbe218abac90e84eaa6c74c42039b93a8f5bdd2bb61"),
+    ("3reg60", 0, "vc"): (5, 437, 9, "8b93df6bcf9cafdb5ce5926e96b383e7527c3f5f7657a39f30de87c5b1dba6b9"),
     ("3reg60", 0, "ed"): (6, 489, 11, "6b35ce2d4745fab497164597845aa4cc402d71efa759738cc2530ffae25b3d11"),
     ("3reg60", 1, "vc"): (8, 308, 12, "26961dff0b96533ef52fd200f564e0db7575f446ab8b0169d94f77995159a4b6"),
     ("3reg60", 1, "ed"): (10, 478, 17, "ac326b05873eb65189050371f7c08cb45a6a16ac2f417207f394476bf2579913"),
-    ("3reg60", 2, "vc"): (7, 163, 14, "b0a62d13af6e8a4af2e46793b0260c6bf147fc48e755680e038943577018f10f"),
+    ("3reg60", 2, "vc"): (6, 162, 14, "85c504637bcd8f4c00292320df37b32f28eb1462f60284bc019f2adcf04265c2"),
     ("3reg60", 2, "ed"): (6, 176, 11, "1900e06affbe5620a666e1507706392f1ddae0c3194f822dcf041d5f458f478e"),
-    ("3reg60", 3, "vc"): (9, 396, 16, "bc605271fdb474c51616550f4fd3e570187d996d8e6ccaecb759ad088a9d4621"),
+    ("3reg60", 3, "vc"): (8, 568, 19, "3fe39811b47c27c08f7e92b311cdb71913c9fef10d76393c782177d929a1287c"),
     ("3reg60", 3, "ed"): (8, 384, 14, "6b284cf762c8a2ee3fcf35ac01c0c46fdab80ccaf28a7f373fdd643ce630e277"),
     ("3reg60", 4, "vc"): (8, 325, 12, "5c79fd14053de546b6c421ab935e8541f35307216723b02ff8295d8d7c74b75a"),
     ("3reg60", 4, "ed"): (9, 307, 10, "835eead2f991d44815de1c3ce436da2135eb13fe64fc89dffbca31974e9df7c0"),

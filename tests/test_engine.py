@@ -195,7 +195,9 @@ def test_components_split():
 
 # per-trial (n, trial, seed, mis, branches) of
 # `optbranch bench --gen 3regular --sizes 60:120:20 --trials 10 --seed 24601`,
-# 3091 branches in all
+# 3098 branches in all; ties between equally cheap covers at equal gamma
+# move the search, and each exact gamma round after the first keeps the
+# previous round's rule on a tie
 REGULAR3_BASELINE = [
     # n = 60
     (60, 0, 980138122640924038, 27, 10),
@@ -214,13 +216,13 @@ REGULAR3_BASELINE = [
     (80, 2, 1178889263730378652, 35, 35),
     (80, 3, 300741557356921730, 35, 35),
     (80, 4, 8653809208773685014, 36, 25),
-    (80, 5, 6991220114689105762, 35, 40),
+    (80, 5, 6991220114689105762, 35, 35),
     (80, 6, 7496674584360617105, 35, 34),
     (80, 7, 792609362739330463, 36, 24),
     (80, 8, 4802483758242562614, 35, 37),
     (80, 9, 5370235002382626224, 36, 38),
     # n = 100
-    (100, 0, 7685953152467875127, 43, 42),
+    (100, 0, 7685953152467875127, 43, 60),
     (100, 1, 2054428159783042046, 45, 81),
     (100, 2, 7413506258184712423, 44, 77),
     (100, 3, 4252887675856162066, 44, 72),
@@ -228,14 +230,14 @@ REGULAR3_BASELINE = [
     (100, 5, 305016486773627293, 45, 74),
     (100, 6, 1707912726543156858, 44, 77),
     (100, 7, 5922196070959043268, 44, 50),
-    (100, 8, 985156398762766286, 45, 60),
+    (100, 8, 985156398762766286, 45, 64),
     (100, 9, 3737014025543053911, 44, 57),
     # n = 120
     (120, 0, 6339658618967733684, 53, 240),
-    (120, 1, 8127544149945251569, 53, 191),
+    (120, 1, 8127544149945251569, 53, 195),
     (120, 2, 1348003301809464220, 53, 201),
     (120, 3, 3357493747030030696, 54, 181),
-    (120, 4, 375511865943191604, 53, 246),
+    (120, 4, 375511865943191604, 53, 232),
     (120, 5, 1710984361914907359, 53, 129),
     (120, 6, 3239287082736550280, 53, 164),
     (120, 7, 975831849603590831, 53, 261),
@@ -441,7 +443,7 @@ class TestMisBranch:
         report = run_bench(BenchSpec("3regular", (60, 80, 100, 120), 10, 24601))
         got = [(r.n, r.trial, r.seed, r.mis, r.branches) for r in report.rows]
         assert got == REGULAR3_BASELINE
-        assert sum(r.branches for r in report.rows) == 3091
+        assert sum(r.branches for r in report.rows) == 3098
 
     def test_search_pinned(self, monkeypatch):
         # (mis_size, branch_count, node_count, max_depth, witness as a mask),

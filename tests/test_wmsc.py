@@ -400,6 +400,126 @@ class TestWidePath:
         assert math.isclose(sol.objective, 5.0, rel_tol=1e-9)
 
 
+def random_incumbent(rng, inst):
+    """A cover of ``inst`` by given index: each set with probability one
+    half, then a random covering set for each element still uncovered."""
+    chosen = {i for i in range(len(inst.sets)) if rng.random() < 0.5}
+    for e in range(inst.universe_size):
+        if not any(inst.sets[i] >> e & 1 for i in chosen):
+            chosen.add(int(rng.choice([i for i, cov in enumerate(inst.sets) if cov >> e & 1])))
+    return tuple(sorted(chosen))
+
+
+class TestWarmStart:
+    """``solve_exact``'s ``incumbent``: a cover by given index that takes
+    the greedy cover's place when it is no heavier."""
+
+    def test_every_path_keeps_the_optimum(self, monkeypatch):
+        """Seeded instances, each with a random incumbent, end at the dual
+        certificate, in the branch-and-bound and in HiGHS, and each gets
+        the DP optimum."""
+        paths = []
+        for name in ("_bnb_python", "_mip_cover"):
+            real = getattr(setcover, name)
+            monkeypatch.setattr(setcover, name, lambda *args, real=real, name=name, **kwargs:
+                                paths.append(name) or real(*args, **kwargs))
+        rng = np.random.default_rng(8128)
+        seen = set()
+        for k in range(90):
+            inst = random_instance(rng) if k % 3 else wide_instance(rng, 1.1, 4, 30)
+            incumbent = random_incumbent(rng, inst)
+            want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+            for limit in (SMALL_SET_LIMIT, 0):
+                paths.clear()
+                with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+                    sol = solve_exact(inst, incumbent=incumbent)
+                seen.add(paths[0] if paths else "certified")
+                assert is_cover(sol, inst)
+                assert math.isclose(sol.objective, want, rel_tol=1e-9), k
+        assert seen == {"certified", "_bnb_python", "_mip_cover"}
+
+    def test_lighter_optimal_incumbent_is_returned(self):
+        """Of two optimal covers, both lighter than the greedy cover, the one
+        passed in comes back as it is on every path; so does an incumbent
+        that ties with the greedy cover, and a heavier one leaves the plain
+        call's cover."""
+        # the greedy trap and its mirror: greedy takes set 0 and then needs
+        # two more, while sets 1, 2 and sets 3, 4 each cover alone
+        core = GREEDY_TRAP + (0b100011, 0b011100)
+        optima = {(1, 2), (3, 4)}
+        trap = WmscInstance(6, core, (1.0,) * 5)
+        padded = padded_instance(np.random.default_rng(1729), core)
+        singletons = (5, 6, 7, 8)  # padded's unit sets of elements 6-9
+        assert padded.sets[5:9] == tuple(1 << e for e in range(6, 10))
+        for inst, rest in ((trap, ()), (padded, singletons)):
+            assert _greedy_chosen(inst) == (0, 1, 2) + rest
+            for limit in (SMALL_SET_LIMIT, 0):
+                with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+                    plain = solve_exact(inst)
+                    assert plain.chosen[:2] in optima and plain.chosen[2:] == rest
+                    for optimum in optima:
+                        assert solve_exact(inst, incumbent=optimum + rest).chosen == optimum + rest
+                    heavier = tuple(range(len(inst.sets)))
+                    assert solve_exact(inst, incumbent=heavier) == plain
+        # sets 0 and 1, 2 tie at weight 2, and greedy takes set 0; on the odd
+        # cycle every two sets tie, greedy takes 0 and 1, and the dual ascent
+        # stops below the optimum, so the search runs
+        tie = WmscInstance(2, (0b11, 0b01, 0b10), (2.0, 1.0, 1.0))
+        cycle = WmscInstance(3, ODD_CYCLE, (1.0, 1.0, 1.0))
+        for inst, greedy, others in ((tie, (0,), [(1, 2)]), (cycle, (0, 1), [(0, 2), (1, 2)])):
+            for limit in (SMALL_SET_LIMIT, 0):
+                with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+                    assert solve_exact(inst).chosen == greedy
+                    for other in others:
+                        assert solve_exact(inst, incumbent=other).chosen == other
+
+    def test_duplicate_coverage_maps_to_its_representative(self):
+        # sets 1 and 3 cover the same elements and set 3 is lighter, so the
+        # incumbent (1, 2) stands for (2, 3), which ties with the greedy (0,)
+        inst = WmscInstance(3, (0b111, 0b011, 0b100, 0b011), (3.0, 5.0, 1.0, 2.0))
+        assert solve_exact(inst).chosen == (0,)
+        assert solve_exact(inst, incumbent=(1, 2)).chosen == (2, 3)
+
+    @pytest.mark.parametrize("incumbent", [(0,), (0, 3), (-1, 0, 1), (1, 2)])
+    def test_invalid_incumbent_raises(self, incumbent):
+        inst = WmscInstance(3, (0b011, 0b110, 0b100), (1.0, 1.0, 1.0))
+        with pytest.raises(InputError):
+            solve_exact(inst, incumbent=incumbent)
+
+    def test_mip_is_bounded_by_the_incumbent(self, monkeypatch):
+        """The MIP's ``objective_bound`` is the lifted weight of the
+        incumbent passed in when it is lighter than the greedy cover: an
+        optimal cover, which the MIP then only has to prove."""
+        real_milp = scipy.optimize.milp
+        bounds = []
+
+        def milp(c, *, integrality, options=None, **kwargs):
+            if np.any(integrality):
+                bounds.append(options["objective_bound"])
+            return real_milp(c, integrality=integrality, options=options, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", milp)
+        inst = padded_instance(np.random.default_rng(1729), TRAP_AND_CYCLE)
+        # trap sets 1 and 2, cycle sets 3 and 4 and the singleton of element
+        # 9: weight 5, where the greedy cover weighs 6 and the LP 4.5
+        optimum = (1, 2, 3, 4, 6)
+        sol = solve_exact(inst, incumbent=optimum)
+        assert sol.chosen == optimum
+        assert math.isclose(sol.objective, 5.0, rel_tol=1e-9)
+        plain = solve_exact(inst)
+        assert math.isclose(plain.objective, 5.0, rel_tol=1e-9)
+        lift = 2.0 ** setcover.MIP_LIFT_EXP
+        assert bounds == [math.frexp(5.0)[0] * lift, math.frexp(6.0)[0] * lift]
+
+
+def _greedy_chosen(inst):
+    """The given indices of ``inst``'s greedy cover."""
+    problem = CoverProblem(inst.universe_size, inst.sets, inst.weights)
+    weights = [inst.weights[i] for i in problem.indices]
+    chosen, _ = setcover._greedy_cover(problem.sets, weights, problem.full)
+    return problem.solution(chosen, weights).chosen
+
+
 class TestSolveLp:
     def test_relaxation_sandwich(self):
         rng = np.random.default_rng(29)
@@ -588,32 +708,39 @@ def check_exact_rounds(cands, universe):
     each round's exit: "swap" or "rounding" when ``solve_exact`` returned a
     cover the loop's predicate accepted, "proven" otherwise.
 
-    A proven round equals the standalone ``solve_exact`` over all
-    candidates at its γ; an accepted one is the last cover the predicate
+    The first round gets no incumbent and every later one the rule of the
+    round before.  A proven round has the objective of the standalone
+    ``solve_exact`` over all candidates at its γ, within ``PRUNE_TOL`` at
+    the anchor's scale, and returns either the standalone's cover or the
+    incumbent it was given; an accepted one is the last cover the predicate
     was asked about, a rule of two or more clauses whose root is below γ by
-    more than ``GAMMA_TOL``.  The last round is proven.
+    more than ``GAMMA_TOL``.  The last round is proven, and unless it ends
+    the loop on a rule of one clause it returns the rule of the round
+    before.
     """
     coverage, drops = cands.coverage, cands.delta_rho
     real = optimize.solve_exact
     rounds = []
 
-    def spy(inst, improves):
+    def spy(inst, improves, *, incumbent=None):
         asked = []
 
         def recorded(chosen):
             asked.append((chosen, improves(chosen)))
             return asked[-1][1]
 
-        sol = real(inst, recorded)
-        rounds.append((sol, asked))
+        sol = real(inst, recorded, incumbent=incumbent)
+        rounds.append((inst, incumbent, sol, asked))
         return sol
 
     with mock.patch.object(optimize, "solve_exact", spy):
         res = minimize_gamma(cands, universe)
     gammas = (2.0,) + res.gamma_trail[:-1]
     assert len(rounds) == len(gammas)
+    assert [incumbent for _inst, incumbent, _sol, _asked in rounds] == \
+        [None] + [sol.chosen for _inst, _incumbent, sol, _asked in rounds[:-1]]
     exits = []
-    for gamma, (sol, asked) in zip(gammas, rounds):
+    for gamma, (inst, incumbent, sol, asked) in zip(gammas, rounds):
         verdicts = [verdict for _chosen, verdict in asked]
         if True in verdicts:
             exits.append("swap" if verdicts[0] else "rounding")
@@ -624,8 +751,14 @@ def check_exact_rounds(cands, universe):
         else:
             exits.append("proven")
             weights = tuple(gamma ** -float(d) for d in drops)
-            assert sol == solve_exact(WmscInstance(universe, coverage, weights))
+            want = solve_exact(WmscInstance(universe, coverage, weights))
+            scale, _low = setcover._anchor_scale(inst.problem, inst.weights)
+            assert abs(sol.objective - want.objective) * scale <= setcover.PRUNE_TOL
+            assert sol.chosen in (want.chosen, incumbent)
     assert exits[-1] == "proven"
+    last = rounds[-1][2].chosen
+    if len(rounds) >= 2 and len(last) >= 2:
+        assert last == rounds[-2][2].chosen
     return res, exits
 
 
@@ -655,7 +788,8 @@ class TestCoverProblem:
         cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), tuple(coverage), drops)
         real = optimize.solve_exact
         with mock.patch.object(setcover, "SMALL_SET_LIMIT", 0):
-            with mock.patch.object(optimize, "solve_exact", lambda inst, improves: real(inst)):
+            with mock.patch.object(optimize, "solve_exact",
+                                   lambda inst, improves, *, incumbent: real(inst, incumbent=incumbent)):
                 want = minimize_gamma(cands, universe)
             got, exits = check_exact_rounds(cands, universe)
         assert set(exits) == {"swap", "rounding", "proven"}
