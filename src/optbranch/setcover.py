@@ -22,15 +22,20 @@ regions) go to HiGHS instead, over only the sets lighter than the incumbent
 and with weights lifted by an exact power of two so that HiGHS's absolute
 gap is negligible.  HiGHS first solves the LP relaxation, a lower bound on
 every cover.  When that bound reaches the incumbent, the incumbent is
-optimal; when the LP solution is integral, it is an optimal cover itself;
-only a fractional relaxation runs the mixed-integer program.  HiGHS runs
-both without presolve: ``CoverProblem`` has already collapsed the sets to
-one per coverage, which leaves presolve nothing to remove, and with presolve
-on, the MIP restarts its search after fixing columns at the root.  The MIP
-alone is bounded by the incumbent's weight, so HiGHS prunes every node that
-cannot beat it, and runs without the RENS and RINS sub-MIP heuristics, which
-took half of the bottleneck's proving MIP to find an optimal cover; a MIP
-that the bound leaves infeasible keeps the incumbent.  Throughout,
+optimal; when the LP solution is integral, it is an optimal cover itself.
+A fractional relaxation's row duals then fix every set that, by its reduced
+cost, lies in no cover lighter than the incumbent (a bound that holds for
+any nonnegative duals, so HiGHS's tolerances cannot make it unsound).  At
+most ``SMALL_SET_LIMIT`` sets left free go to the branch-and-bound, with
+the fixed sets closed; more run HiGHS's mixed-integer program over the free
+sets.  HiGHS runs the LP and the MIP without presolve: ``CoverProblem`` has
+already collapsed the sets to one per coverage, which leaves presolve
+nothing to remove, and with presolve on, the MIP restarts its search after
+fixing columns at the root.  The MIP alone is bounded by the incumbent's
+weight, so HiGHS prunes every node that cannot beat it, and runs without the
+RENS, RINS and root reduced-cost sub-MIP heuristics, which look for a cover
+as light as the incumbent it already has; a MIP that the bound leaves
+infeasible keeps the incumbent.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
 ties the same way: the incumbent wins whenever it is optimal.  A caller
 that can use any cover passing a test (the γ loop, which wants a rule whose
@@ -315,7 +320,7 @@ def _dual_ascent(problem: CoverProblem, weights):
     return y
 
 
-def _bnb_python(problem: CoverProblem, weights, y, incumbent):
+def _bnb_python(problem: CoverProblem, weights, y, incumbent, closed=0):
     """Element-disjunction search; children ordered by ratio then index.
 
     A node lists its uncovered elements in ascending order.  It is cut when
@@ -325,10 +330,13 @@ def _bnb_python(problem: CoverProblem, weights, y, incumbent):
     (its weight plus, per element, the cheapest ratio weight / newly covered
     elements among the sets still open to it).  It branches on the element
     with the fewest open sets, lowest first; a child's set and its earlier
-    siblings are closed to the child's subtree.  ``incumbent`` is
-    (objective, chosen-list); only strictly better covers replace it, so it
-    wins all exact ties.  Returns the chosen set indices of the best cover
-    found.
+    siblings are closed to the child's subtree.  ``closed`` is the bitmask
+    of sets closed to the whole search: the caller must know that no cover
+    strictly better than the incumbent holds one of them.  ``y`` must be
+    feasible duals (``_dual_ascent``'s), as its cut trusts them exactly.
+    ``incumbent`` is (objective, chosen-list); only strictly better covers
+    replace it, so it wins all exact ties.  Returns the chosen set indices
+    of the best cover found.
     """
     covs, covering = problem.sets, problem.covering
     best_obj, best_sol = incumbent
@@ -379,30 +387,52 @@ def _bnb_python(problem: CoverProblem, weights, y, incumbent):
 
     root = list(range(problem.universe_size))
     if not dual_cut(0.0, root):
-        descend(problem.full, root, 0.0, 0)
+        descend(problem.full, root, 0.0, closed)
     return best_sol
 
 
 def _cover_relaxation(matrix, cost):
     """LP relaxation min cost.x, matrix x >= 1, 0 <= x <= 1, solved by HiGHS.
 
-    ``milp`` with no integer columns is scipy's cheapest route to the HiGHS
-    LP solver.  Presolve is off: the columns are already one per coverage,
-    so it removes nothing and only costs time.  Returns ``(x, objective)``.
+    ``linprog``'s HiGHS route is scipy's public one that returns the row
+    duals.  Presolve is off: the columns are already one per coverage, so it
+    removes nothing and only costs time.  Returns ``(x, objective, y)``,
+    where ``y`` >= 0 are the duals of the covering rows (``linprog`` states
+    them as ``-matrix x <= -1``, whose marginals are their negation), clipped
+    at 0 against HiGHS's tolerances.  Only ``_mip_cover`` reads ``y``.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize import linprog
 
-    res = milp(cost, integrality=np.zeros(len(cost)), bounds=Bounds(0.0, 1.0),
-               constraints=LinearConstraint(matrix, lb=1.0), options={"presolve": False})
+    res = linprog(cost, A_ub=-matrix.astype(float), b_ub=np.full(len(matrix), -1.0),
+                  bounds=(0.0, 1.0), method="highs", options={"presolve": False})
     if res.status != 0:
         raise InternalError(f"set-cover LP failed: {res.message}")
-    return res.x, res.fun
+    return res.x, res.fun, np.maximum(-res.ineqlin.marginals, 0.0)
 
 
-def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None):
+def _unfixed(matrix, cost, y, bound):
+    """The columns that reduced-cost fixing by duals ``y`` leaves free.
+
+    Any ``y`` >= 0 will do, dual-feasible or not.  With reduced costs
+    d = cost - y.matrix, every cover x (0/1, matrix x >= 1) weighs
+    cost.x = y.(matrix x) + d.x >= sum(y) + d.x, and a cover holding column j
+    has d.x >= max(d_j, 0) + sum(min(d, 0)) over all columns.  So no cover
+    holding j weighs less than floor + max(d_j, 0), with floor = sum(y) +
+    sum(min(d, 0)); j is fixed at 0 when that is at least ``bound``.  Returns
+    a boolean mask, True for the columns left free.
+    """
+    # einsum, not a float BLAS product: BLAS would start its own threads
+    d = cost - np.einsum("e,ej->j", y, matrix)
+    floor = y.sum() + np.minimum(d, 0.0).sum()
+    return floor + np.maximum(d, 0.0) < bound
+
+
+def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, search, rounding=None):
     """Exact cover over the sets lighter than the incumbent, LP first.
 
-    ``matrix`` is the 0/1 element-by-set matrix of ``covs``.
+    ``matrix`` is the 0/1 element-by-set matrix of ``covs``.  ``search``
+    runs the Python branch-and-bound (``_bnb_python``) from the incumbent
+    with the sets of a given bitmask closed, and returns its chosen sets.
 
     A cover strictly cheaper than the incumbent holds no set that alone
     weighs as much, so those columns are dropped before any solve; when the
@@ -412,7 +442,8 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
     more as infinite, so the kept weights are lifted by an exact power of two
     that puts the incumbent in [2^19, 2^20), where that gap is about 1e-12 of
     the objective and every cost is finite.  Only a cover cheaper than the
-    incumbent by more than the gap replaces it, so ties go to the incumbent.
+    incumbent by more than the gap (below the cutoff) replaces it, so ties go
+    to the incumbent.
 
     The LP relaxation is solved first; every cover costs at least its
     optimum, which settles most instances without branching:
@@ -421,27 +452,41 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
         cheaper by more than the gap, so the incumbent stands;
     (b) the LP solution is integral: it is itself an optimal cover, and
         replaces the incumbent under the rule above;
-    (c) otherwise, when ``rounding`` is given, it gets the kept sets with
-        x > 0.5 and returns a cover built from them that the caller
-        accepts, or None; an accepted cover is returned as it is, with no
-        proof of optimality.  Without ``rounding``, or when it returns
-        None, one HiGHS MIP over the same columns finds the optimum.  It
+    otherwise, when ``rounding`` is given, it gets the kept sets with
+    x > 0.5 and returns a cover built from them that the caller accepts, or
+    None; an accepted cover is returned as it is, with no proof of
+    optimality.  Without ``rounding``, or when it returns None, the LP's row
+    duals fix columns by their reduced costs (``_unfixed``): a column is
+    fixed when no cover holding it weighs less than the lifted incumbent,
+    and the lifted incumbent is above the cutoff, so no fixed column lies in
+    a cover that the MIP or the branch-and-bound would accept.  The bound
+    holds for any duals >= 0, so HiGHS's tolerances cannot make it unsound.
+    Then:
+
+    (d) the free columns leave an element uncovered: no cover is lighter
+        than the incumbent, which stands.  By weak duality this needs an
+        LP optimum that HiGHS reported below the true one by more than the
+        gap (duals raised on that element would prove the bound), so it
+        guards against HiGHS's tolerances;
+    (e) at most ``SMALL_SET_LIMIT`` columns are free: ``search`` finds the
+        optimum with every other set closed;
+    (c) otherwise one HiGHS MIP over the free columns finds the optimum.  It
         runs without presolve, which cannot shrink these columns but, when
         on, restarts the search once root reduced-cost fixing has fixed
         most of them, and repeats the root cuts and heuristics.  HiGHS's
         ``objective_bound`` is the lifted incumbent, so it prunes every
         node that cannot beat the cover the MIP's answer would have to
-        beat, and its RENS and RINS sub-MIP heuristics are off: they look
-        for good covers, and on the bottleneck's proving MIP took half the
-        solve to find one.  ``milp`` passes these three options to HiGHS
-        verbatim and warns that it does; that one warning is silenced.
-        The LP gets none of them, as a bound would end its dual simplex
-        early.  Status 2 (infeasible) from the MIP
-        means no cover lies below the bound, since the kept columns cover
-        the universe, so the incumbent stands; a returned cover that is not
-        below the cutoff (HiGHS may return one as optimal under the bound)
-        leaves it too, by the rule above.  Every other failed status
-        raises.
+        beat.  Its RENS, RINS and root reduced-cost sub-MIP heuristics are
+        off: they look for good covers, the incumbent is one, and on the
+        bottleneck's proving MIP they took much of the solve to find one.
+        ``milp`` passes these four options to HiGHS verbatim and warns that
+        it does; that one warning is silenced.  The LP gets none of them,
+        as a bound would end its dual simplex early.  Status 2 (infeasible)
+        from the MIP means no cover lies below the bound, since the free
+        columns cover the universe, so the incumbent stands; a returned
+        cover that is not below the cutoff (HiGHS may return one as optimal
+        under the bound) leaves it too, by the rule above.  Every other
+        failed status raises.
 
     Returns the chosen set indices.
     """
@@ -457,7 +502,7 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
     lift = 2.0 ** (MIP_LIFT_EXP - math.frexp(best_obj)[1])
     cost = weight[keep] * lift
     cutoff = best_obj * lift - MIP_ABS_GAP
-    x, lp_obj = _cover_relaxation(matrix, cost)
+    x, lp_obj, y = _cover_relaxation(matrix, cost)
     if lp_obj >= cutoff:
         return list(best_sol)
     if np.any(np.minimum(x, 1.0 - x) > LP_INTEGRAL_TOL):
@@ -465,6 +510,15 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
             rounded = rounding(keep[x > 0.5].tolist())
             if rounded is not None:
                 return rounded
+        free = _unfixed(matrix, cost, y, best_obj * lift)
+        keep, matrix, cost = keep[free], matrix[:, free], cost[free]
+        if not matrix.any(axis=1).all():
+            return list(best_sol)
+        if len(keep) <= SMALL_SET_LIMIT:
+            closed = (1 << len(covs)) - 1
+            for j in keep.tolist():
+                closed ^= 1 << j
+            return search(closed)
         with warnings.catch_warnings():
             # milp passes the options it does not know to HiGHS verbatim, and
             # says so with this warning
@@ -475,7 +529,8 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, rounding=None
                        options={"mip_rel_gap": 0.0, "presolve": False,
                                 "objective_bound": best_obj * lift,
                                 "mip_heuristic_run_rens": False,
-                                "mip_heuristic_run_rins": False})
+                                "mip_heuristic_run_rins": False,
+                                "mip_heuristic_run_root_reduced_cost": False})
         if res.status == MIP_INFEASIBLE:
             return list(best_sol)
         if res.status != 0:
@@ -517,8 +572,11 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None, *,
     Otherwise up to ``SMALL_SET_LIMIT`` distinct sets run the Python
     branch-and-bound, and wider instances go to HiGHS over the sets lighter
     than the incumbent, with weights lifted by an exact power of two: the LP
-    relaxation first, and the MIP, bounded by the incumbent, only when the
-    relaxation is fractional (see ``_mip_cover``).
+    relaxation first.  A fractional relaxation's duals fix the sets that lie
+    in no cover lighter than the incumbent; the sets left free go to the
+    branch-and-bound, cut by the dual ascent's duals, when there are at most
+    ``SMALL_SET_LIMIT`` of them, and else to the MIP, bounded by the
+    incumbent (see ``_mip_cover``).
     Only a strictly cheaper cover replaces the incumbent, so of several tied
     optima the incumbent wins whenever it is one of them: the one tie rule
     of every path.  An ``incumbent`` that names an index out of range or
@@ -562,6 +620,7 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None, *,
         return problem.solution(_bnb_python(problem, work_w, y, best), weights)
     chosen = _mip_cover(problem.sets, work_w, problem.universe_size, best,
                         matrix=problem.matrix,
+                        search=lambda closed: _bnb_python(problem, work_w, y, best, closed),
                         rounding=None if improves is None else
                         lambda picked: accepted(_complete(problem, work_w, picked)))
     return problem.solution(chosen, weights)
@@ -625,8 +684,8 @@ def solve_lp(inst: WmscInstance | PreparedInstance) -> WmscSolution:
     scaled = [w * scale for w in weights]
     keep = [j for j, w in enumerate(weights) if w <= universe * low]
     x = np.zeros(len(sets))
-    x[keep], lp_obj = _cover_relaxation(problem.matrix[:, keep],
-                                        np.array([scaled[j] for j in keep]))
+    x[keep], lp_obj, _y = _cover_relaxation(problem.matrix[:, keep],
+                                            np.array([scaled[j] for j in keep]))
     best_picked = None
     best_obj = math.inf
     # a draw lies in [0, 1), so when no x is strictly between 0 and 1 every

@@ -252,16 +252,8 @@ def oracle_set_cover(universe_size, sets, weights):
     return best, best_pick
 
 
-def oracle_set_cover_dp(universe_size, sets, weights):
-    """Exact minimum cover by dynamic programming over uncovered-element masks.
-
-    cost[m] is the cheapest way to cover the elements of m.  Some chosen set
-    holds the lowest element e of m, so cost[m] is the minimum of
-    w_s + cost[m & ~s] over the sets s containing e.  Every m & ~s lacks all
-    elements up to e, so filling the masks by descending lowest element finds
-    each right-hand side already done.  Costs O(len(sets) * 2^universe_size),
-    which reaches instances far too wide for subset enumeration.
-    """
+def _cover_costs(universe_size, sets, weights):
+    """The DP table of ``oracle_set_cover_dp``: (cost, choice) per mask."""
     size = 1 << universe_size
     masks = np.arange(size, dtype=np.int64)
     covs = np.asarray(sets, dtype=np.int64)
@@ -278,7 +270,21 @@ def oracle_set_cover_dp(universe_size, sets, weights):
         best = np.argmin(totals, axis=0)
         cost[group] = totals[best, np.arange(group.size)]
         choice[group] = holders[best]
-    full = size - 1
+    return cost, choice
+
+
+def oracle_set_cover_dp(universe_size, sets, weights):
+    """Exact minimum cover by dynamic programming over uncovered-element masks.
+
+    cost[m] is the cheapest way to cover the elements of m.  Some chosen set
+    holds the lowest element e of m, so cost[m] is the minimum of
+    w_s + cost[m & ~s] over the sets s containing e.  Every m & ~s lacks all
+    elements up to e, so filling the masks by descending lowest element finds
+    each right-hand side already done.  Costs O(len(sets) * 2^universe_size),
+    which reaches instances far too wide for subset enumeration.
+    """
+    cost, choice = _cover_costs(universe_size, sets, weights)
+    full = (1 << universe_size) - 1
     if math.isinf(cost[full]):
         return math.inf, None
     pick = []
@@ -288,6 +294,15 @@ def oracle_set_cover_dp(universe_size, sets, weights):
         pick.append(i)
         left &= ~sets[i]
     return float(cost[full]), tuple(sorted(pick))
+
+
+def oracle_cover_holding(universe_size, sets, weights):
+    """For each set s, the least weight of a cover that holds s: w_s plus
+    the cheapest cover of what s leaves uncovered (``oracle_set_cover_dp``'s
+    table)."""
+    cost, _choice = _cover_costs(universe_size, sets, weights)
+    full = (1 << universe_size) - 1
+    return [float(w + cost[full & ~cov]) for cov, w in zip(sets, weights)]
 
 
 def minimize_gamma_bisection(candidates, universe_size, eps=1e-6):

@@ -16,8 +16,8 @@ from optbranch.setcover import (
 )
 
 from oracles import (
-    is_cover, minimize_gamma_bisection, oracle_minimize_gamma_from_two, oracle_set_cover,
-    oracle_set_cover_dp,
+    is_cover, minimize_gamma_bisection, oracle_cover_holding, oracle_minimize_gamma_from_two,
+    oracle_set_cover, oracle_set_cover_dp,
 )
 from paper_cases import FIG1_CANDIDATES, FIG1_GAMMA
 
@@ -103,30 +103,53 @@ OVERLAP = (0b0111, 0b1100)
 
 
 def record_exits(monkeypatch):
-    """Spy on ``milp`` and ``_mip_cover``; returns the list of exits taken.
+    """Spy on HiGHS (``linprog`` for the LP, ``milp`` for the MIP), on the
+    reduced-cost fixing and the branch-and-bound that ``_mip_cover`` calls,
+    and on ``_mip_cover``; returns the list of exits taken.
 
-    (c) when a MIP ran, (a) when only the LP ran and the incumbent came
-    back, (b) when only the LP ran and its cover replaced the incumbent.
+    (a) when only the LP ran and the incumbent came back, (b) when only the
+    LP ran and its cover replaced the incumbent, (d) when the fixing ran and
+    the incumbent came back with no search, (e) when the branch-and-bound
+    searched the columns the fixing left, and (c) when a MIP ran.  Any other
+    sequence of steps fails the test.
     """
-    real_milp = scipy.optimize.milp
-    real_mip_cover = setcover._mip_cover
-    integral_calls = []
+    real_linprog, real_milp = scipy.optimize.linprog, scipy.optimize.milp
+    real_mip_cover, real_unfixed = setcover._mip_cover, setcover._unfixed
+    real_bnb = setcover._bnb_python
+    steps = []
     exits = []
 
+    def linprog(*args, **kwargs):
+        steps.append("LP")
+        return real_linprog(*args, **kwargs)
+
     def milp(c, *, integrality, **kwargs):
-        integral_calls.append(bool(np.any(integrality)))
+        steps.append("MIP" if np.all(integrality) else "milp without integers")
         return real_milp(c, integrality=integrality, **kwargs)
 
+    def unfixed(*args):
+        steps.append("fix")
+        return real_unfixed(*args)
+
+    def bnb(*args):
+        steps.append("bnb")
+        return real_bnb(*args)
+
     def mip_cover(covs, weights, universe_size, incumbent, **kwargs):
-        integral_calls.clear()
+        steps.clear()
         chosen = real_mip_cover(covs, weights, universe_size, incumbent, **kwargs)
-        if any(integral_calls):
-            exits.append("c")
-        elif integral_calls:
-            exits.append("a" if chosen == list(incumbent[1]) else "b")
+        kept = chosen == list(incumbent[1])
+        exit_of = {("LP",): "a" if kept else "b", ("LP", "fix"): "d" if kept else None,
+                   ("LP", "fix", "bnb"): "e", ("LP", "fix", "MIP"): "c"}
+        if steps:
+            assert exit_of.get(tuple(steps)) is not None, (steps, kept)
+            exits.append(exit_of[tuple(steps)])
         return chosen
 
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
     monkeypatch.setattr(scipy.optimize, "milp", milp)
+    monkeypatch.setattr(setcover, "_unfixed", unfixed)
+    monkeypatch.setattr(setcover, "_bnb_python", bnb)
     monkeypatch.setattr(setcover, "_mip_cover", mip_cover)
     return exits
 
@@ -216,39 +239,78 @@ class TestWidePath:
     def test_each_exit_matches_dp_oracle(self, monkeypatch):
         exits = record_exits(monkeypatch)
         rng = np.random.default_rng(1729)
+        # (instance, exit at SMALL_SET_LIMIT, exit at a limit of 0)
         cases = [
-            (padded_instance(rng, GREEDY_TRAP), "b"),  # integral LP beats the greedy incumbent
-            (padded_instance(rng, ODD_CYCLE), "c"),    # fractional LP: the MIP decides
-            (padded_instance(rng, OVERLAP), "a"),      # the LP bound certifies the greedy cover
+            # integral LP beats the greedy incumbent
+            (padded_instance(rng, GREEDY_TRAP), "b", "b"),
+            # fractional LP: the fixing keeps the cycle, the singletons and
+            # no pad, and the branch-and-bound or, past the limit, the MIP
+            # decides
+            (padded_instance(rng, ODD_CYCLE), "e", "c"),
+            # the LP bound certifies the greedy cover
+            (padded_instance(rng, OVERLAP), "a", "a"),
         ]
-        for inst, want_exit in cases:
+        for inst, narrow_exit, wide_exit in cases:
             assert len(set(inst.sets)) > SMALL_SET_LIMIT
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+            for limit, want_exit in ((SMALL_SET_LIMIT, narrow_exit), (0, wide_exit)):
+                exits.clear()
+                with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+                    sol = solve_exact(inst)
+                assert exits == [want_exit]
+                assert is_cover(sol, inst)
+                assert math.isclose(sol.objective, want, rel_tol=1e-9)
+
+    def test_fixing_that_uncovers_an_element_keeps_the_incumbent(self, monkeypatch):
+        """Exit (d): when the fixing fixes every set of some element, the
+        incumbent comes back with no search.  By weak duality the duals can
+        do that only when HiGHS reported the LP optimum low by more than the
+        gap, so here the fixing is made to fix every column."""
+        real_unfixed = setcover._unfixed
+        monkeypatch.setattr(setcover, "_unfixed",
+                            lambda *args: np.zeros_like(real_unfixed(*args)))
+        exits = record_exits(monkeypatch)
+        inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
+        for limit in (SMALL_SET_LIMIT, 0):
             exits.clear()
-            sol = solve_exact(inst)
-            assert exits == [want_exit]
-            assert is_cover(sol, inst)
-            assert math.isclose(sol.objective, want, rel_tol=1e-9)
+            with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+                sol = solve_exact(inst)
+            assert exits == ["d"]
+            assert sol.chosen == _greedy_chosen(inst)
 
     def test_exits_on_seeded_wide_instances(self, monkeypatch):
+        """The fixing leaves at most ``SMALL_SET_LIMIT`` columns of these
+        instances, so they end in the branch-and-bound, and in the MIP
+        when the limit is 0."""
         exits = record_exits(monkeypatch)
         rng = np.random.default_rng(4096)
-        for _ in range(20):
-            inst = wide_instance(rng, 1.1, 4, 30)
-            want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
-            sol = solve_exact(inst)
-            assert is_cover(sol, inst)
-            assert math.isclose(sol.objective, want, rel_tol=1e-9)
-        assert set(exits) == {"a", "b", "c"}
+        insts = [wide_instance(rng, 1.1, 4, 30) for _ in range(20)]
+        seen = {}
+        for limit in (SMALL_SET_LIMIT, 0):
+            exits.clear()
+            with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+                for inst in insts:
+                    want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+                    sol = solve_exact(inst)
+                    assert is_cover(sol, inst)
+                    assert math.isclose(sol.objective, want, rel_tol=1e-9)
+            seen[limit] = set(exits)
+        assert seen == {SMALL_SET_LIMIT: {"a", "b", "e"}, 0: {"a", "b", "c"}}
 
     def test_accepted_rounding_skips_the_mip(self, monkeypatch):
         """On a fractional LP a predicate that refuses the swap cover and
         accepts the rounding gets the rounding and no MIP runs; one that
-        refuses both gets the MIP's optimum."""
+        refuses both gets the MIP's optimum.  A limit of 0 sends the
+        columns the fixing leaves to the MIP."""
+        monkeypatch.setattr(setcover, "SMALL_SET_LIMIT", 0)
         inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
-        real_milp = scipy.optimize.milp
+        real_linprog, real_milp = scipy.optimize.linprog, scipy.optimize.milp
         mips = []
         seen = []
+
+        def linprog(*args, **kwargs):
+            mips.append(False)
+            return real_linprog(*args, **kwargs)
 
         def milp(c, *, integrality, **kwargs):
             mips.append(bool(np.any(integrality)))
@@ -258,6 +320,7 @@ class TestWidePath:
             seen.append(chosen)
             return len(seen) == 2
 
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         monkeypatch.setattr(scipy.optimize, "milp", milp)
         optimum = solve_exact(inst)
         assert mips == [False, True]
@@ -291,16 +354,24 @@ class TestWidePath:
             assert len(seen) == 1
 
     def test_highs_runs_without_presolve(self, monkeypatch):
-        """Every LP and MIP turns HiGHS's presolve off, and every MIP asks
-        for a zero relative gap: the collapsed problem leaves presolve
-        nothing to remove, and a presolved MIP restarts its search.  Every
-        MIP is bounded by its lifted incumbent and runs without the RENS and
-        RINS heuristics; no LP gets those options, as a bound would end its
-        dual simplex early."""
-        real_milp = scipy.optimize.milp
+        """Every LP (``linprog``'s HiGHS) and MIP (``milp``) turns HiGHS's
+        presolve off, and every MIP asks for a zero relative gap: the
+        collapsed problem leaves presolve nothing to remove, and a presolved
+        MIP restarts its search.  Every MIP is bounded by its lifted
+        incumbent and runs without the RENS, RINS and root reduced-cost
+        heuristics; no LP gets those options, as a bound would end its dual
+        simplex early.  A limit of 0 sends the columns the fixing leaves to
+        the MIP."""
+        monkeypatch.setattr(setcover, "SMALL_SET_LIMIT", 0)
+        real_linprog, real_milp = scipy.optimize.linprog, scipy.optimize.milp
         real_mip_cover = setcover._mip_cover
         calls = []
         incumbents = []
+
+        def linprog(c, *, method, options=None, **kwargs):
+            assert method == "highs"
+            calls.append((False, dict(options or {})))
+            return real_linprog(c, method=method, options=options, **kwargs)
 
         def milp(c, *, integrality, options=None, **kwargs):
             calls.append((bool(np.any(integrality)), dict(options or {})))
@@ -310,6 +381,7 @@ class TestWidePath:
             incumbents.append(incumbent[0])
             return real_mip_cover(covs, weights, universe_size, incumbent, **kwargs)
 
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         monkeypatch.setattr(scipy.optimize, "milp", milp)
         monkeypatch.setattr(setcover, "_mip_cover", mip_cover)
         rng = np.random.default_rng(1729)
@@ -328,7 +400,8 @@ class TestWidePath:
                     assert options == {"mip_rel_gap": 0.0, "presolve": False,
                                        "objective_bound": lifted,
                                        "mip_heuristic_run_rens": False,
-                                       "mip_heuristic_run_rins": False}
+                                       "mip_heuristic_run_rins": False,
+                                       "mip_heuristic_run_root_reduced_cost": False}
                 else:
                     assert options == {"presolve": False}
 
@@ -336,20 +409,29 @@ class TestWidePath:
                              ids=["LP", "MIP", "LP-infeasible", "MIP-infeasible"])
     def test_failed_highs_status_raises(self, monkeypatch, failing, status):
         """Every status but 0 raises, except status 2 (infeasible) on the
-        MIP: the kept columns cover the universe, so only the incumbent's
-        bound can make it infeasible, and the incumbent stands."""
-        real_milp = scipy.optimize.milp
+        MIP: the free columns cover the universe, so only the incumbent's
+        bound can make it infeasible, and the incumbent stands.  A limit of
+        0 sends the columns the fixing leaves to the MIP."""
+        monkeypatch.setattr(setcover, "SMALL_SET_LIMIT", 0)
+        real = {"LP": scipy.optimize.linprog, "MIP": scipy.optimize.milp}
+
+        def failed(res):
+            res.status = status
+            res.message = "Time limit reached." if status == 1 else "Infeasible."
+            res.x = res.fun = None
+            return res
+
+        def linprog(*args, **kwargs):
+            res = real["LP"](*args, **kwargs)
+            return failed(res) if failing == "LP" else res
 
         def milp(c, *, integrality, **kwargs):
-            res = real_milp(c, integrality=integrality, **kwargs)
-            if ("MIP" if np.any(integrality) else "LP") == failing:
-                res.status = status
-                res.message = "Time limit reached." if status == 1 else "Infeasible."
-                res.x = res.fun = None
-            return res
+            res = real["MIP"](c, integrality=integrality, **kwargs)
+            return failed(res) if failing == "MIP" else res
 
         inst = padded_instance(np.random.default_rng(1729), TRAP_AND_CYCLE)
         optimum = solve_exact(inst)
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         monkeypatch.setattr(scipy.optimize, "milp", milp)
         if (failing, status) == ("MIP", 2):
             # the greedy incumbent, not the MIP's lighter cover
@@ -365,14 +447,16 @@ class TestWidePath:
                 solve_lp(inst)
 
     def test_instances_reaching_the_mip_match_dp_oracle(self, monkeypatch):
-        """Padded random cores and wide instances whose LP is fractional run
-        the bounded MIP, and each gets the DP optimum: a MIP that finds no
-        cover below the incumbent's bound leaves the incumbent.  Weights
-        1.0000001^-drho put covers within a hair of each other, so a bound
-        even slightly below the incumbent would lose an optimum."""
+        """Padded random cores and wide instances whose LP is fractional get
+        past the LP to the fixing, whose free columns the branch-and-bound
+        or the bounded MIP search, and each gets the DP optimum: a search
+        that finds no cover below the incumbent's bound leaves the
+        incumbent.  Weights 1.0000001^-drho put covers within a hair of each
+        other, so a bound even slightly below the incumbent would lose an
+        optimum."""
         exits = record_exits(monkeypatch)
         rng = np.random.default_rng(31337)
-        mips = 0
+        past_lp = mips = 0
         for k in range(60):
             if k % 3 == 0:
                 core = [int(rng.integers(1, 1 << 10)) for _ in range(int(rng.integers(4, 9)))]
@@ -384,13 +468,17 @@ class TestWidePath:
             want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
             assert is_cover(sol, inst)
             assert math.isclose(sol.objective, want, rel_tol=1e-9), k
+            past_lp += exits in (["c"], ["e"])
             mips += exits == ["c"]
-        assert mips >= 30
+        assert past_lp >= 30
+        assert mips >= 10
 
     def test_no_warning_escapes_a_mip(self, monkeypatch):
         """The options milp passes through verbatim raise no warning outside
         ``_mip_cover``, and HiGHS accepts every one of them (it would reject
-        one with an ``OptimizeWarning``, and drop it)."""
+        one with an ``OptimizeWarning``, and drop it).  A limit of 0 sends
+        the columns the fixing leaves to the MIP."""
+        monkeypatch.setattr(setcover, "SMALL_SET_LIMIT", 0)
         exits = record_exits(monkeypatch)
         inst = padded_instance(np.random.default_rng(1729), TRAP_AND_CYCLE)
         with warnings.catch_warnings():
@@ -398,6 +486,76 @@ class TestWidePath:
             sol = solve_exact(inst)
         assert exits == ["c"]
         assert math.isclose(sol.objective, 5.0, rel_tol=1e-9)
+
+
+def fixing_instances():
+    """Seeded wide instances, weighted 1.1^-drho and 1.0000001^-drho, and
+    padded random cores."""
+    rng = np.random.default_rng(6174)
+    insts = []
+    for k in range(12):
+        if k % 3 == 0:
+            core = [int(rng.integers(1, 1 << 10)) for _ in range(int(rng.integers(4, 9)))]
+            insts.append(padded_instance(rng, tuple(core)))
+        else:
+            insts.append(wide_instance(rng, 1.1 if k % 3 == 1 else 1.0 + 2.0 ** -23, 4, 30))
+    return insts
+
+
+class TestReducedCostFixing:
+    """``_unfixed`` fixes only columns that lie in no cover lighter than
+    the incumbent, whatever duals y >= 0 it gets."""
+
+    @pytest.mark.parametrize("duals", ["highs", "perturbed", "random"])
+    def test_fixed_columns_lie_in_no_lighter_cover(self, monkeypatch, duals):
+        """The fixing gets HiGHS's row duals, the same scaled by a random
+        factor in [0.5, 1.5) per row, or uniform random duals summing to
+        about the incumbent; the last two are not dual-feasible.  Its bound
+        is the lifted incumbent of ``_mip_cover``, and every column it fixes
+        lies only in covers at least as heavy, within ``PRUNE_TOL``
+        relative (the DP over the columns ``_mip_cover`` kept, which hold
+        every cover lighter than the incumbent).  ``solve_exact`` gets the
+        DP optimum on every exit past the fixing, under both limits."""
+        rng = np.random.default_rng(8)
+        real_unfixed, real_mip_cover = setcover._unfixed, setcover._mip_cover
+        incumbents = []
+        fixings = []
+
+        def unfixed(matrix, cost, y, bound):
+            if duals == "perturbed":
+                y = y * rng.uniform(0.5, 1.5, size=len(y))
+            elif duals == "random":
+                y = rng.uniform(0.0, 2.0 * bound / len(y), size=len(y))
+            free = real_unfixed(matrix, cost, y, bound)
+            fixings.append((matrix, cost, bound, incumbents[-1], free))
+            return free
+
+        def mip_cover(covs, weights, universe_size, incumbent, **kwargs):
+            incumbents.append(incumbent[0])
+            return real_mip_cover(covs, weights, universe_size, incumbent, **kwargs)
+
+        monkeypatch.setattr(setcover, "_unfixed", unfixed)
+        monkeypatch.setattr(setcover, "_mip_cover", mip_cover)
+        exits = record_exits(monkeypatch)
+        fixed = 0
+        for k, inst in enumerate(fixing_instances()):
+            want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+            for limit in (SMALL_SET_LIMIT, 0):
+                fixings.clear()
+                with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+                    sol = solve_exact(inst)
+                assert is_cover(sol, inst)
+                assert math.isclose(sol.objective, want, rel_tol=1e-9), (k, limit)
+                for matrix, cost, bound, best_obj, free in fixings:
+                    lifted = best_obj * 2.0 ** (setcover.MIP_LIFT_EXP - math.frexp(best_obj)[1])
+                    assert bound == lifted
+                    sets = [sum(1 << e for e in np.flatnonzero(column)) for column in matrix.T]
+                    holding = oracle_cover_holding(inst.universe_size, sets, cost)
+                    for j in np.flatnonzero(~free):
+                        assert holding[j] >= lifted * (1.0 - setcover.PRUNE_TOL), (k, limit, j)
+                    fixed += int(np.count_nonzero(~free))
+        assert fixed > 0
+        assert {"c", "e"} <= set(exits)
 
 
 def random_incumbent(rng, inst):
@@ -489,7 +647,9 @@ class TestWarmStart:
     def test_mip_is_bounded_by_the_incumbent(self, monkeypatch):
         """The MIP's ``objective_bound`` is the lifted weight of the
         incumbent passed in when it is lighter than the greedy cover: an
-        optimal cover, which the MIP then only has to prove."""
+        optimal cover, which the MIP then only has to prove.  A limit of 0
+        sends the columns the fixing leaves to the MIP."""
+        monkeypatch.setattr(setcover, "SMALL_SET_LIMIT", 0)
         real_milp = scipy.optimize.milp
         bounds = []
 
