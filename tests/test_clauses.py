@@ -295,33 +295,34 @@ REGION_PINS = {
     "bottleneck": (15782, "32a7a82e4dce05fed8272a23fd325f969de541d302501b35986cdb10315f3934"),
 }
 
-# sha256 of repr([(candidate rows as above, chosen indices), ...]) over every
-# synthesis of one mis_branch solve, with its syntheses, candidates and
-# branches; recorded as REGION_PINS, except the 3reg60/0/vc and kings400
-# entries, re-recorded when the gamma loop stopped at its first one-clause
-# rule, the 3reg60 0, 2/vc, 3, 5/vc and kings400 entries, re-recorded
-# when reduce_fixpoint began deleting dominating vertices, and the 3reg60
-# 0, 2 and 3/vc entries, which follow ties at equal gamma: each has a
-# synthesis with tied optimal rules of one vector, and each exact gamma
-# round after the first keeps the previous round's rule on such a tie.  So
-# 0/vc's fourth synthesis picks (14, 58, 77, 224) of vector (11, 7, 11, 7),
-# 2/vc's sixth (3, 5, 6, 8, 24) and 3/vc's fifth (34, 56), and the searches
-# that follow differ
+# sha256 of repr([(candidate rows as above, chosen indices, repr(gamma)),
+# ...]) over every synthesis of one mis_branch solve, with its syntheses,
+# candidates and branches.  The searches are those recorded as REGION_PINS,
+# except the 3reg60/0/vc and kings400 entries, which moved when the gamma
+# loop stopped at its first one-clause rule, the 3reg60 0, 2/vc, 3, 5/vc and
+# kings400 entries, which moved when reduce_fixpoint began deleting
+# dominating vertices, and the 3reg60 0, 2 and 3/vc entries, which follow
+# ties at equal gamma: each has a synthesis with tied optimal rules of one
+# vector, and each exact gamma round after the first keeps the previous
+# round's rule on such a tie.  So 0/vc's fourth synthesis picks (14, 58, 77,
+# 224) of vector (11, 7, 11, 7), 2/vc's sixth (3, 5, 6, 8, 24) and 3/vc's
+# fifth (34, 56), and the searches that follow differ.  repr(gamma) joined
+# the digest later, over the same searches
 SEARCH_PINS = {
-    ("3reg60", 0, "vc"): (5, 437, 9, "8b93df6bcf9cafdb5ce5926e96b383e7527c3f5f7657a39f30de87c5b1dba6b9"),
-    ("3reg60", 0, "ed"): (6, 489, 11, "6b35ce2d4745fab497164597845aa4cc402d71efa759738cc2530ffae25b3d11"),
-    ("3reg60", 1, "vc"): (8, 308, 12, "26961dff0b96533ef52fd200f564e0db7575f446ab8b0169d94f77995159a4b6"),
-    ("3reg60", 1, "ed"): (10, 478, 17, "ac326b05873eb65189050371f7c08cb45a6a16ac2f417207f394476bf2579913"),
-    ("3reg60", 2, "vc"): (6, 162, 14, "85c504637bcd8f4c00292320df37b32f28eb1462f60284bc019f2adcf04265c2"),
-    ("3reg60", 2, "ed"): (6, 176, 11, "1900e06affbe5620a666e1507706392f1ddae0c3194f822dcf041d5f458f478e"),
-    ("3reg60", 3, "vc"): (8, 568, 19, "3fe39811b47c27c08f7e92b311cdb71913c9fef10d76393c782177d929a1287c"),
-    ("3reg60", 3, "ed"): (8, 384, 14, "6b284cf762c8a2ee3fcf35ac01c0c46fdab80ccaf28a7f373fdd643ce630e277"),
-    ("3reg60", 4, "vc"): (8, 325, 12, "5c79fd14053de546b6c421ab935e8541f35307216723b02ff8295d8d7c74b75a"),
-    ("3reg60", 4, "ed"): (9, 307, 10, "835eead2f991d44815de1c3ce436da2135eb13fe64fc89dffbca31974e9df7c0"),
-    ("3reg60", 5, "vc"): (7, 415, 15, "31c8e8a0ceea92067956b183ed94e45c33dc11565832c9ccece373d23de2fda7"),
-    ("3reg60", 5, "ed"): (12, 770, 18, "b930ccdc8c2d15773154a4b43576145e8ab57ced037bbf198c18eaff06e16f71"),
-    ("kings400", 4, "vc"): (6, 60, 0, "d80434a3987fdef12b0dfd8d0fa80fa681a73c7acb28313a053ada4adc3eae1f"),
-    ("kings400", 4, "ed"): (6, 60, 0, "ee63c5c7a04e98c6c463f79d5d85498c944f2449554520a033359f0dd28053f1"),
+    ("3reg60", 0, "vc"): (5, 437, 9, "bdc7efa68ce4e49cba39e6566ff22dc41e68350dfe6d10495aa3963c7df2db4e"),
+    ("3reg60", 0, "ed"): (6, 489, 11, "5ab8900062a6e4e445b3649fe8a60e96133535dad161cb4ab2cf1bab7d79664d"),
+    ("3reg60", 1, "vc"): (8, 308, 12, "fb3fd83de5fe005a15e99ae0d74a277b94243e5fcf7b183c14322f76143dbea0"),
+    ("3reg60", 1, "ed"): (10, 478, 17, "2aca19638f6b703287786caf4f965409c3b2ff443300cb130ca37c0bc24af521"),
+    ("3reg60", 2, "vc"): (6, 162, 14, "e6171abc2b23529d7860eef8f60d156b7f9aecf75b9ac9802b9520e337524c67"),
+    ("3reg60", 2, "ed"): (6, 176, 11, "f87fc44ed1848fda8c922d6ccc51df27b0fd72907ad821179f416c154ff75852"),
+    ("3reg60", 3, "vc"): (8, 568, 19, "a05f024ec41dfbd8e63e5cf555034fde17502f70d73c02e515a21f32caf2f092"),
+    ("3reg60", 3, "ed"): (8, 384, 14, "afaf79799ecfec9317870aa3469024c057d10fb880602752a922e7ca1bdda6f9"),
+    ("3reg60", 4, "vc"): (8, 325, 12, "be821f98edc1ef796e5295a134deeb7f2546c30a97e985c6866aa1557a553f26"),
+    ("3reg60", 4, "ed"): (9, 307, 10, "ac730de0737c2fbee24e2c64966c2d129956e9765288fd57a981f3a297eb9a59"),
+    ("3reg60", 5, "vc"): (7, 415, 15, "f2752534cb963c6eca5f034b2b55af7094916b75a1cf9346841a8e583cf65aaa"),
+    ("3reg60", 5, "ed"): (12, 770, 18, "061938fd05df650dd17af270beef9d7883778e8f057cb36e354d3b38fe1ea4ca"),
+    ("kings400", 4, "vc"): (6, 60, 0, "9d2b30e6759963650d6e54107a65fc7e5325b1ad466490deb3c0fbed12efb160"),
+    ("kings400", 4, "ed"): (6, 60, 0, "5b221552720c2bfca2c85245d43b502f392ff603be026b23e0c806dd0b43648d"),
 }
 
 PIN_GRAPHS = {
@@ -351,13 +352,13 @@ class TestCandidatePins:
 
             def record(*args, **kwargs):
                 table, cands, result = synthesize(*args, **kwargs)
-                seen.append((candidate_rows(cands), result.chosen_indices))
+                seen.append((candidate_rows(cands), result.chosen_indices, repr(result.gamma)))
                 return table, cands, result
 
             monkeypatch.setattr(engine, "optimal_rule", record)
             rep = mis_branch(PIN_GRAPHS[kind](seed), SolveConfig(measure=Measure(measure)))
             monkeypatch.undo()
-            got = (len(seen), sum(len(rows) for rows, _ in seen), rep.branch_count,
+            got = (len(seen), sum(len(rows) for rows, *_ in seen), rep.branch_count,
                    hashlib.sha256(repr(seen).encode()).hexdigest())
             if got != want:
                 moved[kind, seed, measure] = got
