@@ -5,21 +5,21 @@ of sum(gamma^-d_i) = 1.  Candidate clauses are selected through a fixed point
 alternation (a Dinkelbach iteration) from gamma = 2: solve the covering
 instance whose weights are gamma^-d_i, then re-solve gamma from the chosen
 vector, until gamma stops decreasing or the chosen rule is a single clause
-(gamma 1, which no rule beats).  With the exact cover solver the iteration
-reaches the global optimum, and only its last round must be a proven
-optimum: a round before it needs only a rule whose root is lower.  So an
-exact round takes the greedy-and-swap cover, or an LP rounding, whenever
-that rule lowers gamma, and the loop stops on the first round whose cover
-does not, which is then always a proven optimum.  Each round after the first
-starts from the previous round's rule, which weighs 1 at its own root, so it
-has only to find a lighter cover or prove that none exists; at the fixed
-point it proves it, and returns that rule.  The tests cross-check the
-optimum with a bisection on "does a cover of weight at most one exist".
+(gamma 1, which no rule beats).  A rule lowers gamma exactly when it weighs
+less than 1, so one weight bound steers the loop.  With the exact cover
+solver the iteration reaches the global optimum, and only its last round
+must be a proven optimum.  So an exact round asks ``solve_exact`` for any
+cover lighter than 1, and the loop stops on the first round whose cover is
+not, which is then always a proven optimum, or is a single clause.  Each
+round after the first starts from the previous round's rule, which weighs 1
+at its own root, so it has only to find a lighter cover or prove that none
+exists; at the fixed point it proves it, and returns that rule.  The tests
+cross-check the optimum with a bisection on "does a cover of weight at most
+one exist".
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,10 +27,8 @@ from enum import Enum
 from .clauses import DNF, Candidates, build_candidates
 from .errors import InfeasibleError, InputError, InternalError
 from .graph import Measure, Region
-from .setcover import CoverProblem, solve_exact, solve_lp
+from .setcover import PRUNE_TOL, CoverProblem, solve_exact, solve_lp
 from .table import BranchingTable, alpha_tensor, boundary_grouped, prune_by_environment, prune_irrelevant
-
-GAMMA_TOL = 1e-12
 
 MAX_ROUNDS = 64
 
@@ -68,17 +66,14 @@ def find_gamma(vector) -> float:
     while True:
         f = sum(gamma ** -v for v in vec) - 1.0
         fprime = sum(-v * gamma ** (-v - 1.0) for v in vec)
-        next_gamma = gamma - f / fprime
+        # a root past the largest float overflows the iterates, or the slope
+        # at them underflows to 0
+        next_gamma = gamma - f / fprime if fprime else math.inf
+        if not next_gamma < math.inf:
+            raise InputError(f"the branching factor of {vec} is not a finite float")
         if next_gamma <= gamma:
             return gamma
         gamma = next_gamma
-
-
-def _lowers(root, gamma):
-    """The test a round's cover must pass for the loop to go on: a rule of
-    two or more clauses whose ``root`` (a function of its chosen indices) is
-    below ``gamma`` by more than ``GAMMA_TOL``."""
-    return lambda chosen: len(chosen) >= 2 and root(chosen) < gamma - GAMMA_TOL
 
 
 def minimize_gamma(
@@ -91,60 +86,57 @@ def minimize_gamma(
     Each round, from gamma = 2, solves the covering instance at the current
     gamma and re-roots gamma from the chosen branching vector; rounds
     strictly decrease gamma until the fixed point, which the exact solver
-    reaches at the provably minimal gamma.  The loop also stops at the first
-    rule of one clause: its gamma is 1, which no rule beats, so that round's
-    clause is returned.  ``gamma_trail`` lists the root of every round.
+    reaches at the provably minimal gamma.  ``gamma_trail`` lists the root
+    of every round.
 
-    One test, ``_lowers``, decides both whether a round moves the loop on
-    and, passed to ``solve_exact``, which unproven covers a round may
-    return: the greedy cover improved by swap moves, or the rounding of a
-    fractional HiGHS relaxation, either only when its rule lowers gamma.
-    Every gamma after 2 is then the root of a real rule, so the Dinkelbach
-    iteration still ends on the optimum; a cover the test refuses is a
-    proven optimum, so the last round, and with it the answer, always is.
-    Every exact round after the first passes the rule of the round before
-    to ``solve_exact`` as its incumbent.  It weighs 1 at the current gamma,
-    its root, so a round has only to beat it, and the last round, which
-    proves that nothing does, returns that rule itself, whose root the test
-    refuses.
+    A cover lowers gamma exactly when it weighs less than 1 at the current
+    gamma.  So one bound, 1 less ``PRUNE_TOL``, decides both whether a round
+    moves the loop on and, passed to ``solve_exact`` as ``below=1``, which
+    unproven covers a round may return: the greedy cover improved by swap
+    moves, or the rounding of a fractional HiGHS relaxation.  Every gamma
+    after 2 is then the root of a real rule, so the Dinkelbach iteration
+    still ends on the optimum.  The loop stops on the first cover that is
+    not that light, a proven optimum, or on a rule of one clause: the one
+    clause that covers every row weighs less than 1 at any gamma > 1, so
+    the loop could only end on it.  Every exact round after the first passes
+    the rule of the round before to ``solve_exact`` as its incumbent.  It
+    weighs 1 at the current gamma, its root, so a round has only to beat
+    it, and the last round, which proves that nothing does, returns that
+    rule itself.
 
     Every round runs at gamma > 1, where the weight gamma^-drho falls as
     drho grows, so one ``CoverProblem`` built before the first round serves
     them all: each coverage collapses to its candidate of largest drho,
     lowest index on ties, and the covering lists and HiGHS matrix are built
-    once.  A round computes only its weights and its cover, and ties between
-    equally cheap covers follow ``solve_exact``'s one rule: the incumbent,
-    the previous rule whenever it is no heavier than the greedy cover, wins.
-    The relaxed solver takes no incumbent and may wobble, so its best round
-    wins; its rounding draws the same fixed trial stream every round.
-    Candidates that cannot cover every row raise ``InfeasibleError`` when
-    the problem is built.
+    once.  A round computes only its weights, its cover and one root, and
+    ties between equally cheap covers follow ``solve_exact``'s one rule: the
+    incumbent, the previous rule whenever it is no heavier than the greedy
+    cover, wins.  The relaxed solver takes no incumbent and may wobble, so
+    its best round wins; its rounding draws the same fixed trial stream
+    every round.  Candidates that cannot cover every row raise
+    ``InfeasibleError`` when the problem is built.
     """
     if not candidates:
         raise InfeasibleError("no candidate clauses")
     drops = candidates.delta_rho
     problem = CoverProblem(universe_size, candidates.coverage, [-d for d in drops])
     exponents = [-float(drops[i]) for i in problem.indices]
-    # a rule's root, its vector in the loop's order; one cover is often met
-    # twice (tested, then re-rooted, or in two rounds), so each is rooted once
-    root = functools.cache(lambda chosen: find_gamma([drops[i] for i in chosen]))
     gamma_old = 2.0
     trail: list[float] = []
     best = None
     for _ in range(MAX_ROUNDS):
         inst = problem.at(tuple(gamma_old ** e for e in exponents))
-        lowers = _lowers(root, gamma_old)
         if solver is SolverKind.EXACT:
-            sol = solve_exact(inst, lowers, incumbent=None if best is None else best[1])
+            sol = solve_exact(inst, incumbent=None if best is None else best[1], below=1.0)
         else:
             sol = solve_lp(inst)
         vector = tuple(drops[i] for i in sol.chosen)
-        gamma_new = root(sol.chosen)
+        gamma_new = find_gamma(vector)
         trail.append(gamma_new)
         # the exact solver ends on its fixed point; the relaxed one keeps its best round
         if solver is SolverKind.EXACT or best is None or gamma_new < best[0]:
             best = (gamma_new, sol.chosen, vector)
-        if not lowers(sol.chosen):
+        if len(sol.chosen) < 2 or not sol.objective < 1.0 - PRUNE_TOL:
             gamma, chosen, vector = best
             return OptimalBranchingResult(
                 rule=DNF(tuple(candidates.clause(i) for i in chosen)),

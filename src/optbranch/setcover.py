@@ -38,12 +38,12 @@ as light as the incumbent it already has; a MIP that the bound leaves
 infeasible keeps the incumbent.  Throughout,
 only a strictly cheaper cover replaces the incumbent, so every path breaks
 ties the same way: the incumbent wins whenever it is optimal.  A caller
-that can use any cover passing a test (the γ loop, which wants a rule whose
-root is lower) may pass that test as a predicate.  The greedy cover
+that can use any cover lighter than a bound (the γ loop, whose rule lowers
+γ when it weighs less than 1) may pass that bound.  The greedy cover
 improved by swap moves (``_swap_moves``: one or two chosen sets traded for
-one lighter set) is then offered first, and a fractional relaxation is
-rounded before the MIP; a cover the predicate accepts is returned with no
-proof of optimality.
+one lighter set) is then met first, and a fractional relaxation is rounded
+before the MIP; the first that weighs less than the bound by more than
+``PRUNE_TOL`` of it is returned with no proof of optimality.
 ``solve_lp`` solves the same HiGHS relaxation and rounds it with a fixed
 stream of randomized inclusion trials, each completed by the same greedy
 cover and stripped of redundant sets by per-element cover counts
@@ -560,8 +560,8 @@ def _anchor_scale(problem: CoverProblem, weights):
     return 2.0 ** -math.frexp(low)[1], low
 
 
-def solve_exact(inst: WmscInstance | PreparedInstance, improves=None, *,
-                incumbent=None) -> WmscSolution:
+def solve_exact(inst: WmscInstance | PreparedInstance, *, incumbent=None,
+                below=None) -> WmscSolution:
     """Minimum-weight cover; deterministic, exact within the stated tolerances.
 
     Sets with equal coverage collapse to their cheapest representative, once
@@ -582,15 +582,16 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None, *,
     of every path.  An ``incumbent`` that names an index out of range or
     does not cover raises ``InputError``.
 
-    ``improves``, when given, is a predicate on a cover's chosen indices (as
-    given, ascending), and a cover it accepts is returned with no proof of
-    optimality.  Two covers are offered, each improved by ``_swap_moves``
-    first: the greedy cover, before the dual ascent, and, before a
-    fractional relaxation runs the MIP, its rounding (every set with
-    x > 0.5, completed by the greedy cover of what they leave uncovered and
-    stripped of redundant sets by ``_complete``).  A refused swap cover
-    leaves the incumbent as it was, so the tie rule holds.  Every other
-    path, and every call without ``improves``, returns a proven optimum.
+    ``below``, when given, is a weight in the caller's units, and the first
+    cover met before a proof that weighs less than ``below`` by more than
+    ``PRUNE_TOL`` of it is returned with no proof of optimality.  Two covers
+    are met, each improved by ``_swap_moves`` first: the greedy cover,
+    before the dual ascent, and, before a fractional relaxation runs the
+    MIP, its rounding (every set with x > 0.5, completed by the greedy cover
+    of what they leave uncovered and stripped of redundant sets by
+    ``_complete``).  A swap cover that is too heavy leaves the incumbent as
+    it was, so the tie rule holds.  Every other path, and every call
+    without ``below``, returns a proven optimum.
     """
     prepared = _prepared(inst)
     problem, weights = prepared.problem, prepared.weights
@@ -598,14 +599,14 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None, *,
     scale, _low = _anchor_scale(problem, weights)
     work_w = [w * scale for w in weights]
 
-    def accepted(chosen):
-        """``chosen`` improved by swap moves, if ``improves`` accepts it."""
+    def lighter(chosen):
+        """``chosen`` improved by swap moves, if it is then light enough."""
         chosen = _swap_moves(problem, work_w, chosen)
-        return chosen if improves(problem.solution(chosen, weights).chosen) else None
+        return chosen if sum(weights[j] for j in chosen) < below * (1.0 - PRUNE_TOL) else None
 
     best_sol, best_obj = _greedy_cover(problem.sets, work_w, problem.full)
-    if improves is not None:
-        swapped = accepted(best_sol)
+    if below is not None:
+        swapped = lighter(best_sol)
         if swapped is not None:
             return problem.solution(swapped, weights)
     if given is not None:
@@ -621,8 +622,8 @@ def solve_exact(inst: WmscInstance | PreparedInstance, improves=None, *,
     chosen = _mip_cover(problem.sets, work_w, problem.universe_size, best,
                         matrix=problem.matrix,
                         search=lambda closed: _bnb_python(problem, work_w, y, best, closed),
-                        rounding=None if improves is None else
-                        lambda picked: accepted(_complete(problem, work_w, picked)))
+                        rounding=None if below is None else
+                        lambda picked: lighter(_complete(problem, work_w, picked)))
     return problem.solution(chosen, weights)
 
 

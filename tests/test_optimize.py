@@ -58,6 +58,15 @@ class TestFindGamma:
         with pytest.raises(InputError):
             find_gamma([float("inf"), 2])
 
+    @pytest.mark.parametrize("vector", [[1e-3, 1e-3, 1e-3], [1e-9, 1e-9], [1e-300, 1e-300]])
+    def test_root_past_the_largest_float_raises(self, vector):
+        # the roots are 3^1000, 2^(1e9) and 2^(1e300)
+        with pytest.raises(InputError, match="not a finite float"):
+            find_gamma(vector)
+
+    def test_root_near_the_largest_float(self):
+        assert math.isclose(find_gamma([1e-3, 1e-3]), 2.0 ** 1000, rel_tol=1e-9)
+
     @given(st.lists(st.integers(1, 40), min_size=2, max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_residual_below_tolerance(self, vector):
@@ -112,6 +121,33 @@ class TestMinimizeGamma:
         assert res.branching_vector == (5,)
         assert res.gamma_trail == (1.0,)
         assert len(calls) == len(res.gamma_trail)
+
+    def test_one_clause_cover_ends_a_later_round(self, monkeypatch):
+        # round 1 takes (18, 25, 29), of root 1.0478; at that gamma the pair
+        # (29, 15) weighs 0.7540 and the clause of drho 6 that covers all
+        # three rows 0.7555.  The greedy-and-swap cover of round 2 is that
+        # clause, lighter than 1, so the loop ends on it; a loop that took
+        # only rules of two or more clauses unproven would prove the pair
+        # optimal, go on at its root 1.0332 and end on the clause a round
+        # later
+        cands = Candidates(1, (1,) * 6, (0,) * 6,
+                           coverage=(0b001, 0b010, 0b100, 0b011, 0b111, 0b110),
+                           delta_rho=(18, 25, 29, 15, 6, 20))
+        calls = []
+        solve_exact = optimize.solve_exact
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return solve_exact(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "solve_exact", counted)
+        res = minimize_gamma(cands, 3)
+        gamma = find_gamma([18, 25, 29])
+        assert gamma ** -29 + gamma ** -15 < gamma ** -6 < 1.0
+        assert res.chosen_indices == (4,)
+        assert res.gamma == 1.0
+        assert res.gamma_trail == (gamma, 1.0)
+        assert calls == [{"incumbent": None, "below": 1.0}, {"incumbent": (0, 1, 2), "below": 1.0}]
 
     def test_trail_strictly_decreasing(self):
         rng = np.random.default_rng(61)

@@ -10,7 +10,7 @@ import scipy.optimize
 
 from optbranch import InfeasibleError, InputError, InternalError, optimize, setcover
 from optbranch.clauses import Candidates
-from optbranch.optimize import GAMMA_TOL, SolverKind, find_gamma, minimize_gamma
+from optbranch.optimize import SolverKind, find_gamma, minimize_gamma
 from optbranch.setcover import (
     SMALL_SET_LIMIT, CoverProblem, WmscInstance, WmscSolution, solve_exact, solve_lp,
 )
@@ -214,6 +214,41 @@ class TestSolveExact:
             assert math.isclose(sol.objective, want, rel_tol=1e-9)
             assert solve_exact(inst).chosen == sol.chosen
 
+    @pytest.mark.parametrize("limit", [SMALL_SET_LIMIT, 0])  # 0: every search goes to HiGHS
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(-60, 60),
+           st.one_of(st.floats(0.5, 2.0), st.sampled_from([1 - 1e-13, 1 + 5e-13, 1 + 2e-12])))
+    # a bound 5e-13 above the optimum, which the greedy-and-swap cover
+    # reaches: refused, while PRUNE_TOL taken on the anchor-scaled weights,
+    # where this optimum weighs 2.19, would accept it
+    @example(seed=20, wide=False, exponent=-40, ratio=1 + 5e-13)
+    @settings(max_examples=40, deadline=None)
+    def test_below_gives_a_lighter_cover_or_the_optimum(self, limit, seed, wide, exponent, ratio):
+        """A cover lighter than ``below`` by ``PRUNE_TOL`` of it, at any weight
+        scale, or else the plain call's cover, the DP optimum; one returned
+        before the dual ascent, with no proof begun, is always that light."""
+        rng = np.random.default_rng(seed)
+        inst = wide_instance(rng, 1.3, 1, 8) if wide else random_instance(rng)
+        inst = WmscInstance(inst.universe_size, inst.sets,
+                            tuple(w * 2.0 ** exponent for w in inst.weights))
+        want, _ = oracle_set_cover_dp(inst.universe_size, inst.sets, inst.weights)
+        below = want * ratio
+        light = below * (1.0 - setcover.PRUNE_TOL)
+        real_ascent = setcover._dual_ascent
+        ascents = []
+        with mock.patch.object(setcover, "SMALL_SET_LIMIT", limit):
+            plain = solve_exact(inst)
+            with mock.patch.object(setcover, "_dual_ascent",
+                                   lambda *args: ascents.append(args) or real_ascent(*args)):
+                sol = solve_exact(inst, below=below)
+        assert math.isclose(plain.objective, want, rel_tol=1e-9)
+        assert is_cover(sol, inst)
+        if not ascents:
+            assert sol.objective < light
+        if not sol.objective < light:
+            assert sol == plain
+        if want < light * (1.0 - 1e-9):
+            assert sol.objective < light
+
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             solve_exact(WmscInstance(3, (0b011,), (1.0,)))
@@ -298,15 +333,17 @@ class TestWidePath:
         assert seen == {SMALL_SET_LIMIT: {"a", "b", "e"}, 0: {"a", "b", "c"}}
 
     def test_accepted_rounding_skips_the_mip(self, monkeypatch):
-        """On a fractional LP a predicate that refuses the swap cover and
-        accepts the rounding gets the rounding and no MIP runs; one that
-        refuses both gets the MIP's optimum.  A limit of 0 sends the
-        columns the fixing leaves to the MIP."""
+        """On a fractional LP, a ``below`` that the swap cover does not reach
+        and the rounding does gets the rounding and no MIP runs; one that no
+        cover reaches gets the MIP's optimum.  A limit of 0 sends the columns
+        the fixing leaves to the MIP."""
         monkeypatch.setattr(setcover, "SMALL_SET_LIMIT", 0)
-        inst = padded_instance(np.random.default_rng(1729), ODD_CYCLE)
+        # its swap cover weighs 0.2820 and its rounding 0.2452, the optimum
+        inst = wide_instance(np.random.default_rng(32), 1.3, 1, 8)
         real_linprog, real_milp = scipy.optimize.linprog, scipy.optimize.milp
+        real_swap = setcover._swap_moves
         mips = []
-        seen = []
+        offered = []
 
         def linprog(*args, **kwargs):
             mips.append(False)
@@ -316,42 +353,49 @@ class TestWidePath:
             mips.append(bool(np.any(integrality)))
             return real_milp(c, integrality=integrality, **kwargs)
 
-        def accept_second(chosen):
-            seen.append(chosen)
-            return len(seen) == 2
+        def swap_moves(problem, weights, chosen):
+            chosen = real_swap(problem, weights, chosen)
+            offered.append(problem.solution(chosen, [inst.weights[i] for i in problem.indices]))
+            return chosen
 
         monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         monkeypatch.setattr(scipy.optimize, "milp", milp)
+        monkeypatch.setattr(setcover, "_swap_moves", swap_moves)
         optimum = solve_exact(inst)
         assert mips == [False, True]
+        assert offered == []
         mips.clear()
-        rounded = solve_exact(inst, improves=accept_second)
+        assert solve_exact(inst, below=optimum.objective) == optimum
+        assert mips == [False, True]
+        swapped, rounding = offered
+        assert rounding.objective < swapped.objective * (1.0 - setcover.PRUNE_TOL)
+        mips.clear()
+        offered.clear()
+        rounded = solve_exact(inst, below=swapped.objective)
         assert mips == [False]
-        assert seen[1] == rounded.chosen
+        assert offered == [swapped, rounding]
+        assert rounded == rounding
         assert is_cover(rounded, inst)
         assert rounded.lp_bound is None
-        # the odd cycle's optimum is 2 and the seven other elements take a
-        # unit singleton each
-        assert math.isclose(optimum.objective, 9.0, rel_tol=1e-9)
-        assert rounded.objective >= optimum.objective
-        mips.clear()
-        seen.clear()
-        refused = solve_exact(inst, improves=lambda chosen: seen.append(chosen) or False)
-        assert mips == [False, True]
-        assert len(seen) == 2
-        assert refused == optimum
+        assert math.isclose(rounded.objective, optimum.objective, rel_tol=1e-12)
 
-    def test_improves_is_asked_only_before_a_mip(self):
-        """Certified, branch-and-bound and LP-settled covers consult it once,
-        for the swap cover, and a refusal leaves the plain call's cover."""
+    def test_below_is_tested_only_before_a_mip(self, monkeypatch):
+        """Certified, branch-and-bound and LP-settled covers meet ``below``
+        once, with the swap cover, and a ``below`` that no cover reaches
+        leaves the plain call's cover."""
         rng = np.random.default_rng(1729)
         insts = [table2_instance(), WmscInstance(4, (0b0011, 0b1100), (0.3, 0.4)),
                  padded_instance(rng, GREEDY_TRAP), padded_instance(rng, OVERLAP)]
         insts += [random_instance(np.random.default_rng(k)) for k in range(20)]
+        real_swap = setcover._swap_moves
+        swaps = []
+        monkeypatch.setattr(setcover, "_swap_moves",
+                            lambda *args: swaps.append(args) or real_swap(*args))
         for inst in insts:
-            seen = []
-            assert solve_exact(inst, improves=lambda c: seen.append(c) or False) == solve_exact(inst)
-            assert len(seen) == 1
+            optimum = solve_exact(inst)
+            swaps.clear()
+            assert solve_exact(inst, below=optimum.objective) == optimum
+            assert len(swaps) == 1
 
     def test_highs_runs_without_presolve(self, monkeypatch):
         """Every LP (``linprog``'s HiGHS) and MIP (``milp``) turns HiGHS's
@@ -865,49 +909,63 @@ def record_rounds(name):
 
 def check_exact_rounds(cands, universe):
     """Run the exact γ loop and check every round; returns the result and
-    each round's exit: "swap" or "rounding" when ``solve_exact`` returned a
-    cover the loop's predicate accepted, "proven" otherwise.
+    each round's exit: "swap" when ``solve_exact`` returned the greedy cover
+    improved by swap moves, before the dual ascent and so before any LP,
+    "rounding" when it returned an LP rounding so improved, and "proven"
+    otherwise.
 
-    The first round gets no incumbent and every later one the rule of the
-    round before.  A proven round has the objective of the standalone
-    ``solve_exact`` over all candidates at its γ, within ``PRUNE_TOL`` at
-    the anchor's scale, and returns either the standalone's cover or the
-    incumbent it was given; an accepted one is the last cover the predicate
-    was asked about, a rule of two or more clauses whose root is below γ by
-    more than ``GAMMA_TOL``.  The last round is proven, and unless it ends
-    the loop on a rule of one clause it returns the rule of the round
-    before.
+    Every round is given ``below=1``, the first no incumbent and every later
+    one the rule of the round before.  Of the covers a round offers (the
+    results of ``_swap_moves``), only the last may weigh less than 1 by more
+    than ``PRUNE_TOL``, and when it does it is the round's cover; a rule of
+    two or more clauses that light has its root below γ.  A proven round
+    has the objective of the standalone ``solve_exact`` over all candidates
+    at its γ, within ``PRUNE_TOL`` at the anchor's scale, and returns either
+    the standalone's cover or the incumbent it was given.  The last round is
+    proven or takes a rule of one clause, and unless it ends the loop on a
+    rule of one clause it returns the rule of the round before.
     """
     coverage, drops = cands.coverage, cands.delta_rho
-    real = optimize.solve_exact
+    real, real_swap, real_ascent = optimize.solve_exact, setcover._swap_moves, setcover._dual_ascent
     rounds = []
+    offers = []
+    ascents = []
 
-    def spy(inst, improves, *, incumbent=None):
-        asked = []
+    def swap_moves(*args):
+        offers.append(real_swap(*args))
+        return offers[-1]
 
-        def recorded(chosen):
-            asked.append((chosen, improves(chosen)))
-            return asked[-1][1]
+    def dual_ascent(*args):
+        ascents.append(args)
+        return real_ascent(*args)
 
-        sol = real(inst, recorded, incumbent=incumbent)
-        rounds.append((inst, incumbent, sol, asked))
+    def spy(inst, *, incumbent, below):
+        offers.clear()
+        ascents.clear()
+        sol = real(inst, incumbent=incumbent, below=below)
+        offered = [inst.problem.solution(chosen, inst.weights) for chosen in offers]
+        rounds.append((inst, incumbent, below, sol, offered, bool(ascents)))
         return sol
 
-    with mock.patch.object(optimize, "solve_exact", spy):
+    with mock.patch.object(optimize, "solve_exact", spy), \
+            mock.patch.object(setcover, "_swap_moves", swap_moves), \
+            mock.patch.object(setcover, "_dual_ascent", dual_ascent):
         res = minimize_gamma(cands, universe)
     gammas = (2.0,) + res.gamma_trail[:-1]
     assert len(rounds) == len(gammas)
-    assert [incumbent for _inst, incumbent, _sol, _asked in rounds] == \
-        [None] + [sol.chosen for _inst, _incumbent, sol, _asked in rounds[:-1]]
+    assert [below for _inst, _incumbent, below, *_ in rounds] == [1.0] * len(rounds)
+    assert [incumbent for _inst, incumbent, *_ in rounds] == \
+        [None] + [sol.chosen for _inst, _incumbent, _below, sol, *_ in rounds[:-1]]
     exits = []
-    for gamma, (inst, incumbent, sol, asked) in zip(gammas, rounds):
-        verdicts = [verdict for _chosen, verdict in asked]
-        if True in verdicts:
-            exits.append("swap" if verdicts[0] else "rounding")
-            assert asked[-1] == (sol.chosen, True) and verdicts.count(True) == 1
+    for gamma, (inst, incumbent, _below, sol, offered, ascended) in zip(gammas, rounds):
+        light = [offer.objective < 1.0 - setcover.PRUNE_TOL for offer in offered]
+        assert light[:-1] == [False] * (len(light) - 1)
+        if light and light[-1]:
+            exits.append("rounding" if ascended else "swap")
+            assert sol == offered[-1] and len(offered) == 1 + ascended
             assert is_cover(sol, WmscInstance(universe, coverage, (1.0,) * len(drops)))
             vector = [drops[i] for i in sol.chosen]
-            assert len(vector) >= 2 and find_gamma(vector) < gamma - GAMMA_TOL
+            assert len(vector) == 1 or find_gamma(vector) < gamma
         else:
             exits.append("proven")
             weights = tuple(gamma ** -float(d) for d in drops)
@@ -915,10 +973,10 @@ def check_exact_rounds(cands, universe):
             scale, _low = setcover._anchor_scale(inst.problem, inst.weights)
             assert abs(sol.objective - want.objective) * scale <= setcover.PRUNE_TOL
             assert sol.chosen in (want.chosen, incumbent)
-    assert exits[-1] == "proven"
-    last = rounds[-1][2].chosen
+    last = rounds[-1][3].chosen
+    assert exits[-1] == "proven" or len(last) == 1
     if len(rounds) >= 2 and len(last) >= 2:
-        assert last == rounds[-2][2].chosen
+        assert last == rounds[-2][3].chosen
     return res, exits
 
 
@@ -947,9 +1005,12 @@ class TestCoverProblem:
         drops = tuple(int(rng.integers(1, 9)) for _ in coverage)
         cands = Candidates(1, (1,) * len(drops), (0,) * len(drops), tuple(coverage), drops)
         real = optimize.solve_exact
+
+        def proven(inst, *, incumbent, below):
+            return real(inst, incumbent=incumbent)
+
         with mock.patch.object(setcover, "SMALL_SET_LIMIT", 0):
-            with mock.patch.object(optimize, "solve_exact",
-                                   lambda inst, improves, *, incumbent: real(inst, incumbent=incumbent)):
+            with mock.patch.object(optimize, "solve_exact", proven):
                 want = minimize_gamma(cands, universe)
             got, exits = check_exact_rounds(cands, universe)
         assert set(exits) == {"swap", "rounding", "proven"}
