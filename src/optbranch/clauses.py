@@ -214,13 +214,13 @@ def _label(i: int, width: int) -> str:
     return f"v{i}"
 
 
-def render_clause(c: Clause, names=None) -> str:
+def render_clause(c: Clause) -> str:
     parts = []
     for i in bits(c.mask):
-        name = names[i] if names else _label(i, c.width)
+        name = _label(i, c.width)
         parts.append(name if (c.values >> i) & 1 else f"¬{name}")
     return " ∧ ".join(parts)
 
 
-def render_dnf(d: DNF, names=None) -> str:
-    return " ∨ ".join(f"({render_clause(c, names)})" for c in d.clauses)
+def render_dnf(d: DNF) -> str:
+    return " ∨ ".join(f"({render_clause(c)})" for c in d.clauses)

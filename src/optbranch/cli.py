@@ -38,37 +38,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact maximum-independent-set solving with synthesized optimal branching rules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared through parent parsers; --measure is declared per
+    # command, as its default differs, and a default set on a shared action
+    # would change it for every command
+    graph_file = argparse.ArgumentParser(add_help=False)
+    graph_file.add_argument("file")
+    graph_file.add_argument("--format", choices=["edgelist", "dimacs"], default="edgelist")
+    selector = argparse.ArgumentParser(add_help=False)
+    selector.add_argument("--lp", action="store_true", help="use the LP-relaxed rule selector")
+    selector.add_argument("--no-env-pruning", action="store_true",
+                          help="treat the boundary as hypothetical even inside a larger host")
 
-    solve = sub.add_parser("solve", help="solve a graph file exactly")
-    solve.add_argument("file")
-    solve.add_argument("--format", choices=["edgelist", "dimacs"], default="edgelist")
-    solve.add_argument("--lp", action="store_true", help="use the LP-relaxed rule selector")
-    solve.add_argument("--no-env-pruning", action="store_true")
+    solve = sub.add_parser("solve", parents=[graph_file, selector],
+                           help="solve a graph file exactly")
     solve.add_argument("--measure", choices=["vc", "ed"], default="ed")
     solve.add_argument("--json", action="store_true")
 
-    discover = sub.add_parser("discover", help="synthesize the optimal rule for a region")
-    discover.add_argument("file")
-    discover.add_argument("--format", choices=["edgelist", "dimacs"], default="edgelist")
+    discover = sub.add_parser("discover", parents=[graph_file, selector],
+                              help="synthesize the optimal rule for a region")
     discover.add_argument("--region", required=True,
                           help="comma-separated region vertices (1-based ids or letters)")
     discover.add_argument("--boundary",
                           help="declared boundary vertices; default: computed from the host")
     discover.add_argument("--measure", choices=["vc", "ed"], default="vc")
-    discover.add_argument("--lp", action="store_true")
-    discover.add_argument("--no-env-pruning", action="store_true",
-                          help="treat the boundary as hypothetical even inside a larger host")
 
-    bench = sub.add_parser("bench", help="run the branch-count benchmark")
+    bench = sub.add_parser("bench", parents=[selector], help="run the branch-count benchmark")
     bench.add_argument("--gen", required=True, choices=["3regular", "erdos_renyi", "kings", "grid"])
     bench.add_argument("--sizes", required=True, help="a:b:step (inclusive) or comma list")
     bench.add_argument("--trials", type=int, default=100)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
     bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument("--lp", action="store_true")
     bench.add_argument("--measure", choices=["vc", "ed"], default="ed")
-    bench.add_argument("--no-env-pruning", action="store_true")
     bench.add_argument("--avg-degree", type=float, default=3.0)
     bench.add_argument("--filling", type=float, default=0.8)
     return parser
@@ -119,13 +120,10 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _solver(args) -> SolverKind:
-    return SolverKind.LP_RELAXED if args.lp else SolverKind.EXACT
-
-
 def _config(args) -> SolveConfig:
-    """The search configuration of ``solve`` and ``bench``."""
-    return SolveConfig(measure=_MEASURES[args.measure], solver_kind=_solver(args),
+    """The measure, rule selector and pruning flag every command takes."""
+    return SolveConfig(measure=_MEASURES[args.measure],
+                       solver_kind=SolverKind.LP_RELAXED if args.lp else SolverKind.EXACT,
                        env_pruning=not args.no_env_pruning)
 
 
@@ -150,14 +148,14 @@ def _cmd_discover(args) -> int:
     vertices = _parse_vertex_list(args.region, graph.n)
     boundary = _parse_vertex_list(args.boundary, graph.n) if args.boundary else None
     region = region_of(graph, vertices, boundary)
-    measure = _MEASURES[args.measure]
+    cfg = _config(args)
     try:
-        table, cands, result = optimal_rule(region, measure, _solver(args),
-                                            env_pruning=not args.no_env_pruning)
+        table, cands, result = optimal_rule(region, cfg.measure, cfg.solver_kind,
+                                            env_pruning=cfg.env_pruning)
     except InfeasibleError as exc:
         # an input property, not a bug: the search itself never meets it, as
         # its kernels have minimum degree 3
-        name = measure.name.lower().replace("_", " ")
+        name = cfg.measure.name.lower().replace("_", " ")
         raise InputError(f"no branching rule on this region reduces the {name} "
                          f"(--measure {args.measure}): {exc}") from exc
     width = table.width

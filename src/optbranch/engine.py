@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels
 from .errors import InputError, InternalError
@@ -61,7 +61,6 @@ class SolveReport:
     branch_count: int
     max_depth: int
     node_count: int
-    rule_stats: dict = field(compare=False)
 
 
 @dataclass
@@ -273,7 +272,6 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
     """
     cfg = cfg or SolveConfig()
     nodes = branches = max_depth = 0
-    stats: Counter = Counter()
     reductions: Counter = Counter()
     started = time.perf_counter()
 
@@ -308,7 +306,6 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
                 log.debug("node %d: depth=%d n=%d width=%d rows=%d k=%d gamma=%.6f rounds=%d",
                           nodes, len(stack) - 1, len(comp.adj_mask), region.width, len(table),
                           len(result.rule), result.gamma, len(result.gamma_trail))
-            stats[(len(result.rule), result.gamma)] += 1
             if len(result.rule) >= 2:
                 branches += len(result.rule)
             clause_order = sorted(
@@ -351,4 +348,4 @@ def mis_branch(g: Graph, cfg: SolveConfig | None = None) -> SolveReport:
              "takes=%d folds=%d dominated=%d time=%.3fs",
              len(g.adj_mask), g.m, size, branches, nodes, max_depth, reductions["takes"],
              reductions["folds"], reductions["dominated"], time.perf_counter() - started)
-    return SolveReport(size, witness, branches, max_depth, nodes, dict(stats))
+    return SolveReport(size, witness, branches, max_depth, nodes)

@@ -94,7 +94,8 @@ class Graph:
     @classmethod
     def _derived(cls, n: int, adj_mask: dict[int, int], vertices: int) -> Graph:
         """Wrap symmetric, loop-free rows in ascending id order, unchecked;
-        for graphs derived from a valid one."""
+        for graphs derived from a valid one, and for the file readers, which
+        check every edge."""
         g = cls.__new__(cls)
         g.n = n
         g.adj_mask = adj_mask

@@ -6,6 +6,9 @@ how edgeless vertices (and whole edgeless graphs) are expressed.  DIMACS
 grammar: ``c`` comments, one ``p edge <n> <m>`` header, then ``e u v`` lines.
 Both readers deduplicate edges and reject self-loops, and both reject a
 vertex id or count above :data:`MAX_VERTICES` before anything is allocated.
+They read the file a line at a time into one neighbour mask per vertex, so
+a file of any length takes no more memory than the graph it describes.  A
+file that cannot be opened or is not UTF-8 text raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -29,10 +32,22 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+def _add_edge(masks: list[int], u: int, v: int) -> None:
+    """OR the edge between 1-based ids u and v into ``masks``, which grows
+    to hold both; an edge already there leaves the masks as they were."""
+    masks.extend([0] * (max(u, v) - len(masks)))
+    masks[u - 1] |= 1 << (v - 1)
+    masks[v - 1] |= 1 << (u - 1)
+
+
+def _graph(n: int, masks: list[int]) -> Graph:
+    masks.extend([0] * (n - len(masks)))
+    return Graph._derived(n, dict(enumerate(masks)), (1 << n) - 1)
+
+
 def _parse_edgelist(lines) -> Graph:
     declared = 0
-    max_id = 0
-    edges = []
+    masks: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         text = _strip(raw)
         if not text:
@@ -61,15 +76,13 @@ def _parse_edgelist(lines) -> Graph:
             raise InputError(f"line {lineno}: self-loop at vertex {u}")
         if declared and (u > declared or v > declared):
             raise InputError(f"line {lineno}: vertex id above declared count {declared}")
-        max_id = max(max_id, u, v)
-        edges.append((u - 1, v - 1))
-    n = max(declared, max_id)
-    return Graph(n, set(tuple(sorted(e)) for e in edges))
+        _add_edge(masks, u, v)
+    return _graph(max(declared, len(masks)), masks)
 
 
 def _parse_dimacs(lines) -> Graph:
     n = None
-    edges = []
+    masks: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("c"):
@@ -85,6 +98,8 @@ def _parse_dimacs(lines) -> Graph:
                 int(parts[3])
             except ValueError:
                 raise InputError(f"line {lineno}: malformed problem line {text!r}")
+            if n < 0:
+                raise InputError(f"line {lineno}: vertex count must be non-negative")
             _check_size(lineno, "vertex count", n)
         elif parts[0] == "e":
             if n is None:
@@ -99,21 +114,21 @@ def _parse_dimacs(lines) -> Graph:
                 raise InputError(f"line {lineno}: vertex id outside 1..{n}")
             if u == v:
                 raise InputError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u - 1, v - 1))
+            _add_edge(masks, u, v)
         else:
             raise InputError(f"line {lineno}: unrecognized line {text!r}")
     if n is None:
         raise InputError("missing 'p edge' header")
-    return Graph(n, set(tuple(sorted(e)) for e in edges))
+    return _graph(n, masks)
 
 
 def parse_graph(path, fmt: str = "edgelist") -> Graph:
     """Read a graph file in the given format ('edgelist' or 'dimacs')."""
     if fmt not in ("edgelist", "dimacs"):
         raise InputError(f"unknown graph format {fmt!r}")
+    parse = _parse_edgelist if fmt == "edgelist" else _parse_dimacs
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
+            return parse(handle)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return _parse_edgelist(lines) if fmt == "edgelist" else _parse_dimacs(lines)

@@ -52,16 +52,14 @@ def find_gamma(vector) -> float:
 
     Newton's iteration from gamma = 1, stopped at the first iterate that does
     not increase.  f(gamma) = sum(gamma^-v) - 1 is convex and decreasing with
-    f(1) = k - 1 > 0 for k >= 2 entries, so the iterates rise monotonically
-    to the root.
+    f(1) = k - 1 >= 0 for k entries, so the iterates rise monotonically to
+    the root; for k = 1, f(1) = 0 and the first step stays at exactly 1.
     """
     vec = list(vector)
     if not vec:
         raise InputError("branching vector must be nonempty")
     if not all(0 < v < math.inf for v in vec):
         raise InputError("branching vector entries must be positive and finite")
-    if len(vec) == 1:
-        return 1.0
     gamma = 1.0
     while True:
         f = sum(gamma ** -v for v in vec) - 1.0
@@ -111,10 +109,13 @@ def minimize_gamma(
     once.  A round computes only its weights, its cover and one root, and
     ties between equally cheap covers follow ``solve_exact``'s one rule: the
     incumbent, the previous rule whenever it is no heavier than the greedy
-    cover, wins.  The relaxed solver takes no incumbent and may wobble, so
-    its best round wins; its rounding draws the same fixed trial stream
-    every round.  Candidates that cannot cover every row raise
-    ``InfeasibleError`` when the problem is built.
+    cover, wins.  The loop returns its lowest round, the earlier one on
+    ties.  For the exact solver that is the rule of its last round, which
+    is either the previous rule itself or a cover lighter than it by more
+    than the tolerance.  The relaxed solver takes no incumbent and may
+    wobble; its rounding draws the same fixed trial stream every round.
+    Candidates that cannot cover every row raise ``InfeasibleError`` when
+    the problem is built.
     """
     if not candidates:
         raise InfeasibleError("no candidate clauses")
@@ -133,8 +134,7 @@ def minimize_gamma(
         vector = tuple(drops[i] for i in sol.chosen)
         gamma_new = find_gamma(vector)
         trail.append(gamma_new)
-        # the exact solver ends on its fixed point; the relaxed one keeps its best round
-        if solver is SolverKind.EXACT or best is None or gamma_new < best[0]:
+        if best is None or gamma_new < best[0]:
             best = (gamma_new, sol.chosen, vector)
         if len(sol.chosen) < 2 or not sol.objective < 1.0 - PRUNE_TOL:
             gamma, chosen, vector = best

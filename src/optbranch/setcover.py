@@ -89,6 +89,8 @@ class WmscInstance:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        if self.universe_size < 0:
+            raise InputError("universe size must be non-negative")
         if len(self.sets) != len(self.weights):
             raise InputError("sets and weights must have equal length")
         if not all(0 < w < math.inf for w in self.weights):
@@ -96,9 +98,6 @@ class WmscInstance:
         full = (1 << self.universe_size) - 1
         if any(cov & ~full for cov in self.sets):
             raise InputError("set covers an element outside the universe")
-
-    def full_mask(self) -> int:
-        return (1 << self.universe_size) - 1
 
 
 @dataclass(frozen=True)

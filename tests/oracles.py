@@ -41,7 +41,7 @@ def is_cover(sol, inst):
     got = 0
     for i in sol.chosen:
         got |= inst.sets[i]
-    return got == inst.full_mask()
+    return got == (1 << inst.universe_size) - 1
 
 
 def _alpha(adj):

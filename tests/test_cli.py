@@ -235,6 +235,14 @@ def test_readme_synopsis_lists_every_option():
         assert documented[name] == options - {"-h", "--help"}, name
 
 
+def test_default_measures():
+    parser = _build_parser()
+    assert parser.parse_args(["solve", "g"]).measure == "ed"
+    assert parser.parse_args(["discover", "g", "--region", "1"]).measure == "vc"
+    assert parser.parse_args(["bench", "--gen", "kings", "--sizes", "4",
+                              "--out", "r.csv"]).measure == "ed"
+
+
 class TestExitCodes:
     def test_unknown_flag_exits_two(self, files):
         assert main(["solve", files["fig1"], "--bogus"]) == 2
@@ -252,6 +260,12 @@ class TestExitCodes:
         huge.write_text(text)
         assert main(["solve", str(huge), "--format", fmt]) == 2
         assert f"exceeds the limit of {MAX_VERTICES} vertices" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edgelist"
+        bad.write_bytes(b"\xff\xfe\x00bad\n")
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}")
 
     def test_self_loop_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.edgelist"

@@ -267,6 +267,10 @@ class TestSolveExact:
             with pytest.raises(InputError):
                 solve_exact(WmscInstance(2, (1, 2, 3), (1.0, 1.0, bad)))
 
+    def test_negative_universe_size_is_input_error(self):
+        with pytest.raises(InputError, match="universe size"):
+            WmscInstance(-1, (), ())
+
 
 class TestWidePath:
     """The LP-first exits of ``_mip_cover``, each checked against the DP oracle."""
@@ -848,7 +852,7 @@ def test_solve_lp_is_irredundant():
             for i in chosen:
                 if i != drop:
                     rest |= inst.sets[i]
-            assert rest != inst.full_mask(), (k, drop)
+            assert rest != (1 << inst.universe_size) - 1, (k, drop)
 
 
 def test_enumeration_oracle_exact_at_tiny_weights():
