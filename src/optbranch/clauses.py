@@ -8,10 +8,11 @@ spawns one branch that fixes its literals.
 
 A region's candidate layer is built in a few integer array passes: the
 closure handles one generation of its worklist at a time, in blocks of
-bounded size (``_closure``),
-and ``delta_rho`` gives the measure reduction of every candidate at once
-from integer products over the host's second neighbourhood N²[R].  Both
-return plain Python ints, so nothing downstream sees a numpy scalar.
+bounded size, each checked against one set of the keys seen so far
+(``_closure``), and ``delta_rho`` gives the measure reduction of every
+candidate at once from integer products over the host's second
+neighbourhood N²[R].  Both return plain Python ints, so nothing downstream
+sees a numpy scalar.
 ``build_candidates`` keeps the layer as parallel tuples (``Candidates``):
 the set cover reads only coverage and δρ, and only the clauses a rule
 keeps become ``Clause`` objects.
@@ -88,17 +89,6 @@ def _pack_rows(matrix: np.ndarray) -> list[int]:
 CLOSURE_BLOCK = 1 << 16
 
 
-def _unseen(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The keys not in the sorted array ``seen``, each once, in order of
-    first occurrence."""
-    _, first = np.unique(keys, return_index=True)
-    keys = keys[np.sort(first)]
-    if not seen.size:
-        return keys
-    at = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
-    return keys[seen[at] != keys]
-
-
 def _closure(table: BranchingTable) -> list[tuple[int, int, int]]:
     """Worklist closure over (mask, values) pairs, with each one's coverage.
 
@@ -112,10 +102,10 @@ def _closure(table: BranchingTable) -> list[tuple[int, int, int]]:
     generation is their intersections in (clause, configuration) order, each
     kept at its first occurrence and only if never seen before.  A
     generation is taken in blocks of about ``CLOSURE_BLOCK`` pairs, each
-    checked against the sorted keys seen so far, which then take in the
-    block's new keys; so the temporaries stay the size of a block, and the
-    order is the one the whole generation at once would give.  Output is in
-    first-insertion order, which is deterministic.  Masks, values and
+    checked against one set of the keys seen so far, which then takes in the
+    block's new keys; so the array temporaries stay the size of a block, and
+    the order is the one the whole generation at once would give.  Output is
+    in first-insertion order, which is deterministic.  Masks, values and
     coverages are Python ints; coverage bit i is row i.
     """
     width = table.width
@@ -129,9 +119,10 @@ def _closure(table: BranchingTable) -> list[tuple[int, int, int]]:
     starts = np.cumsum([0] + sizes[:-1])
     step = max(1, CLOSURE_BLOCK // configs.size)
     out: list[tuple[int, int, int]] = []
-    level = _unseen(np.empty(0, dtype=np.int64), (full << width) | configs.astype(np.int64))
-    seen = np.sort(level)
-    while level.size:
+    fresh = list(dict.fromkeys(((full << width) | configs.astype(np.int64)).tolist()))
+    seen = set(fresh)
+    while fresh:
+        level = np.array(fresh, dtype=np.int64)
         fresh = []
         for lo in range(0, level.size, step):
             block = level[lo:lo + step]
@@ -144,10 +135,9 @@ def _closure(table: BranchingTable) -> list[tuple[int, int, int]]:
             take = ~coverage[:, row_of] & (shared != 0)
             shared = shared[take].astype(np.int64)
             kept = np.repeat(values, take.sum(axis=1)) & shared
-            new = _unseen(seen, (shared << width) | kept)
-            fresh.append(new)
-            seen = np.union1d(seen, new)
-        level = np.concatenate(fresh)
+            new = [k for k in dict.fromkeys(((shared << width) | kept).tolist()) if k not in seen]
+            seen.update(new)
+            fresh.extend(new)
     return out
 
 

@@ -32,7 +32,13 @@ def three_regular(n: int, seed: int) -> Graph:
 
 
 def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
-    """G(n, p) with p chosen to hit the requested average degree."""
+    """G(n, p) with p chosen to hit the requested average degree.
+
+    Pair (u, v), u < v, is an edge when its uniform draw falls below p, the
+    pairs taken row by row in ascending order.  Each row draws its own block
+    of the one stream, so the graph is the one a single draw for all
+    n(n - 1)/2 pairs gives, in memory O(n + m).
+    """
     if n < 1:
         raise InputError("need at least one vertex")
     if not 0.0 <= avg_degree < math.inf:
@@ -41,9 +47,11 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
         return Graph(1, [])
     p = min(1.0, avg_degree / (n - 1))
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    hit = rng.random(iu.shape[0]) < p
-    return Graph(n, zip(iu[hit].tolist(), ju[hit].tolist()))
+    edges = []
+    for u in range(n - 1):
+        hit = np.flatnonzero(rng.random(n - 1 - u) < p) + (u + 1)
+        edges.extend((u, v) for v in hit.tolist())
+    return Graph(n, edges)
 
 
 def _lattice_subgraph(n: int, filling: float, seed: int, offsets) -> Graph:

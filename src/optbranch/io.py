@@ -2,8 +2,10 @@
 
 Edge-list grammar: one ``u v`` pair per line, 1-based ids, ``#`` starts a
 comment; a line holding a single integer declares the vertex count, which is
-how edgeless vertices (and whole edgeless graphs) are expressed.  DIMACS
-grammar: ``c`` comments, one ``p edge <n> <m>`` header, then ``e u v`` lines.
+how edgeless vertices (and whole edgeless graphs) are expressed.  Count lines
+may come anywhere: the largest count is the graph's, and no vertex id on any
+line may exceed it.  DIMACS grammar: ``c`` comments, one ``p edge <n> <m>``
+header, then ``e u v`` lines.
 Both readers deduplicate edges and reject self-loops, and both reject a
 vertex id or count above :data:`MAX_VERTICES` before anything is allocated.
 They read the file a line at a time into one neighbour mask per vertex, so
@@ -46,7 +48,8 @@ def _graph(n: int, masks: list[int]) -> Graph:
 
 
 def _parse_edgelist(lines) -> Graph:
-    declared = 0
+    declared = None
+    top = top_line = 0  # the largest vertex id, and the first line naming it
     masks: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         text = _strip(raw)
@@ -61,7 +64,7 @@ def _parse_edgelist(lines) -> Graph:
             if count < 0:
                 raise InputError(f"line {lineno}: vertex count must be non-negative")
             _check_size(lineno, "vertex count", count)
-            declared = max(declared, count)
+            declared = count if declared is None else max(declared, count)
             continue
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {text!r}")
@@ -74,10 +77,14 @@ def _parse_edgelist(lines) -> Graph:
         _check_size(lineno, "vertex id", max(u, v))
         if u == v:
             raise InputError(f"line {lineno}: self-loop at vertex {u}")
-        if declared and (u > declared or v > declared):
-            raise InputError(f"line {lineno}: vertex id above declared count {declared}")
+        if max(u, v) > top:
+            top, top_line = max(u, v), lineno
         _add_edge(masks, u, v)
-    return _graph(max(declared, len(masks)), masks)
+    if declared is None:
+        declared = top
+    elif top > declared:
+        raise InputError(f"line {top_line}: vertex id {top} above declared count {declared}")
+    return _graph(declared, masks)
 
 
 def _parse_dimacs(lines) -> Graph:

@@ -2,13 +2,12 @@
 
 Universe elements are row indices 0..universe_size-1 and every set is a
 bitmask over them.  A ``CoverProblem`` holds what does not depend on the
-weights: the cheapest representative of each distinct coverage, the
-elements of every set, the sets covering each element and the HiGHS 0/1
-matrix.  It serves every instance whose weights rank the sets alike, as the
-γ rounds of one rule's synthesis do (weights γ^-δρ at γ > 1); a standalone
-``WmscInstance`` gets a problem of its own.  So the structure carries over
-between the instances of one problem; a cover carries over only when the
-caller passes one in.
+weights: the cheapest representative of each distinct coverage, the sets
+covering each element and the HiGHS 0/1 matrix.  It serves every instance
+whose weights rank the sets alike, as the γ rounds of one rule's synthesis
+do (weights γ^-δρ at γ > 1); a standalone ``WmscInstance`` gets a problem
+of its own.  So the structure carries over between the instances of one
+problem; a cover carries over only when the caller passes one in.
 
 ``solve_exact`` is a proven-optimal search built around an incumbent: the
 greedy cover (weight per newly covered element, include-first), or a cover
@@ -43,11 +42,11 @@ that can use any cover lighter than a bound (the γ loop, whose rule lowers
 improved by swap moves (``_swap_moves``: one or two chosen sets traded for
 one lighter set) is then met first, and a fractional relaxation is rounded
 before the MIP; the first that weighs less than the bound by more than
-``PRUNE_TOL`` of it is returned with no proof of optimality.
+``PRUNE_TOL`` of it (``_lighter``) is returned with no proof of optimality.
 ``solve_lp`` solves the same HiGHS relaxation and rounds it with a fixed
 stream of randomized inclusion trials, each completed by the same greedy
-cover and stripped of redundant sets by per-element cover counts
-(``_complete``), as is the rounding of ``solve_exact``.
+cover and stripped of redundant sets (``_complete``), as is the rounding of
+``solve_exact``.
 
 Weights are rescaled by an exact power of two that puts the optimum
 between 0.5 and the universe size, so that absolute tolerances are
@@ -120,7 +119,6 @@ class CoverProblem:
     ``_anchor_scale``).  The problem keeps only those representatives, in
     index order, and for them:
 
-    - ``elements[j]``, the elements of set j in ascending order;
     - ``covering[e]``, the sets covering element e in ascending order, and
       ``dual_order``, the elements by (number of covering sets, element);
     - ``matrix``, the 0/1 element-by-set matrix that HiGHS is given.
@@ -143,11 +141,9 @@ class CoverProblem:
         position = {cov: j for j, cov in enumerate(self.sets)}
         self.representative = [position[cov] for cov in sets]
         self.matrix = bit_matrix(self.sets, universe_size).T
-        per_set = np.count_nonzero(self.matrix, axis=0).tolist()
         per_element = np.count_nonzero(self.matrix, axis=1).tolist()
         if 0 in per_element:
             raise InfeasibleError("sets do not cover the universe")
-        self.elements = _split(np.nonzero(self.matrix.T)[1].tolist(), per_set)
         self.covering = _split(np.nonzero(self.matrix)[1].tolist(), per_element)
         self.dual_order = sorted(range(universe_size), key=lambda e: (per_element[e], e))
         rank = [costs[i] for i in self.indices].__getitem__
@@ -426,12 +422,12 @@ def _unfixed(matrix, cost, y, bound):
     return floor + np.maximum(d, 0.0) < bound
 
 
-def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, search, rounding=None):
+def _mip_cover(covs, weights, universe_size, incumbent, *, problem, duals, bound=None):
     """Exact cover over the sets lighter than the incumbent, LP first.
 
-    ``matrix`` is the 0/1 element-by-set matrix of ``covs``.  ``search``
-    runs the Python branch-and-bound (``_bnb_python``) from the incumbent
-    with the sets of a given bitmask closed, and returns its chosen sets.
+    ``covs`` are the sets of ``problem``, whose 0/1 element-by-set matrix
+    HiGHS is given, and ``duals`` the feasible duals that cut the Python
+    branch-and-bound (``_bnb_python``) of exit (e).
 
     A cover strictly cheaper than the incumbent holds no set that alone
     weighs as much, so those columns are dropped before any solve; when the
@@ -451,10 +447,10 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, search, round
         cheaper by more than the gap, so the incumbent stands;
     (b) the LP solution is integral: it is itself an optimal cover, and
         replaces the incumbent under the rule above;
-    otherwise, when ``rounding`` is given, it gets the kept sets with
-    x > 0.5 and returns a cover built from them that the caller accepts, or
-    None; an accepted cover is returned as it is, with no proof of
-    optimality.  Without ``rounding``, or when it returns None, the LP's row
+    otherwise, when ``bound`` is given, the kept sets with x > 0.5 are
+    completed into a cover (``_complete``), and a cover that ``_lighter``
+    then finds below ``bound`` is returned as it is, with no proof of
+    optimality.  Without ``bound``, or when none is found, the LP's row
     duals fix columns by their reduced costs (``_unfixed``): a column is
     fixed when no cover holding it weighs less than the lifted incumbent,
     and the lifted incumbent is above the cutoff, so no fixed column lies in
@@ -467,8 +463,8 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, search, round
         LP optimum that HiGHS reported below the true one by more than the
         gap (duals raised on that element would prove the bound), so it
         guards against HiGHS's tolerances;
-    (e) at most ``SMALL_SET_LIMIT`` columns are free: ``search`` finds the
-        optimum with every other set closed;
+    (e) at most ``SMALL_SET_LIMIT`` columns are free: the branch-and-bound
+        from the incumbent finds the optimum with every other set closed;
     (c) otherwise one HiGHS MIP over the free columns finds the optimum.  It
         runs without presolve, which cannot shrink these columns but, when
         on, restarts the search once root reduced-cost fixing has fixed
@@ -494,7 +490,7 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, search, round
     best_obj, best_sol = incumbent
     weight = np.array(weights)
     keep = np.flatnonzero(weight < best_obj)
-    matrix = matrix[:, keep]
+    matrix = problem.matrix[:, keep]
     if not matrix.any(axis=1).all():
         return list(best_sol)
 
@@ -505,8 +501,9 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, search, round
     if lp_obj >= cutoff:
         return list(best_sol)
     if np.any(np.minimum(x, 1.0 - x) > LP_INTEGRAL_TOL):
-        if rounding is not None:
-            rounded = rounding(keep[x > 0.5].tolist())
+        if bound is not None:
+            rounded = _lighter(problem, weights,
+                               _complete(problem, weights, keep[x > 0.5].tolist()), bound)
             if rounded is not None:
                 return rounded
         free = _unfixed(matrix, cost, y, best_obj * lift)
@@ -517,7 +514,7 @@ def _mip_cover(covs, weights, universe_size, incumbent, *, matrix, search, round
             closed = (1 << len(covs)) - 1
             for j in keep.tolist():
                 closed ^= 1 << j
-            return search(closed)
+            return _bnb_python(problem, weights, duals, incumbent, closed)
         with warnings.catch_warnings():
             # milp passes the options it does not know to HiGHS verbatim, and
             # says so with this warning
@@ -559,6 +556,14 @@ def _anchor_scale(problem: CoverProblem, weights):
     return 2.0 ** -math.frexp(low)[1], low
 
 
+def _lighter(problem: CoverProblem, weights, chosen, bound):
+    """The cover ``chosen`` improved by ``_swap_moves``, if it then weighs
+    less than ``bound``, else None; ``bound`` is in the units of
+    ``weights``."""
+    chosen = _swap_moves(problem, weights, chosen)
+    return chosen if sum(weights[j] for j in chosen) < bound else None
+
+
 def solve_exact(inst: WmscInstance | PreparedInstance, *, incumbent=None,
                 below=None) -> WmscSolution:
     """Minimum-weight cover; deterministic, exact within the stated tolerances.
@@ -589,23 +594,20 @@ def solve_exact(inst: WmscInstance | PreparedInstance, *, incumbent=None,
     MIP, its rounding (every set with x > 0.5, completed by the greedy cover
     of what they leave uncovered and stripped of redundant sets by
     ``_complete``).  A swap cover that is too heavy leaves the incumbent as
-    it was, so the tie rule holds.  Every other path, and every call
-    without ``below``, returns a proven optimum.
+    it was, so the tie rule holds.  The work weights are the caller's scaled
+    by an exact power of two, and so is the bound that ``_lighter`` gets, so
+    each comparison is the one in the caller's units.  Every other path, and
+    every call without ``below``, returns a proven optimum.
     """
     prepared = _prepared(inst)
     problem, weights = prepared.problem, prepared.weights
     given = None if incumbent is None else problem.represent(incumbent)
     scale, _low = _anchor_scale(problem, weights)
     work_w = [w * scale for w in weights]
-
-    def lighter(chosen):
-        """``chosen`` improved by swap moves, if it is then light enough."""
-        chosen = _swap_moves(problem, work_w, chosen)
-        return chosen if sum(weights[j] for j in chosen) < below * (1.0 - PRUNE_TOL) else None
-
+    bound = None if below is None else below * scale * (1.0 - PRUNE_TOL)
     best_sol, best_obj = _greedy_cover(problem.sets, work_w, problem.full)
-    if below is not None:
-        swapped = lighter(best_sol)
+    if bound is not None:
+        swapped = _lighter(problem, work_w, best_sol, bound)
         if swapped is not None:
             return problem.solution(swapped, weights)
     if given is not None:
@@ -619,30 +621,29 @@ def solve_exact(inst: WmscInstance | PreparedInstance, *, incumbent=None,
     if len(problem.sets) <= SMALL_SET_LIMIT:
         return problem.solution(_bnb_python(problem, work_w, y, best), weights)
     chosen = _mip_cover(problem.sets, work_w, problem.universe_size, best,
-                        matrix=problem.matrix,
-                        search=lambda closed: _bnb_python(problem, work_w, y, best, closed),
-                        rounding=None if below is None else
-                        lambda picked: lighter(_complete(problem, work_w, picked)))
+                        problem=problem, duals=y, bound=bound)
     return problem.solution(chosen, weights)
 
 
-def _drop_redundant(elements, weights, picked, universe_size):
-    """Drop picked sets, heaviest first, while the rest still cover.
+def _drop_redundant(covs, weights, picked):
+    """Drop picked sets, heaviest first and higher index first on ties,
+    while the rest still cover.
 
-    ``elements[i]`` lists the elements of set i.  ``picked`` covers the
-    universe, so a set is redundant exactly when every element it covers is
-    covered at least twice.  Returns the kept indices in ascending order.
+    A set is dropped when it covers no element alone among the sets still
+    kept.  Returns the kept indices in ascending order.
     """
-    count = [0] * universe_size
-    for i in picked:
-        for e in elements[i]:
-            count[e] += 1
     kept = set(picked)
+    once = None  # the elements exactly one kept set covers, when known
     for i in sorted(picked, key=lambda i: (-weights[i], -i)):
-        if all(count[e] >= 2 for e in elements[i]):
+        if once is None:
+            ones = twos = 0
+            for j in kept:
+                twos |= ones & covs[j]
+                ones |= covs[j]
+            once = ones & ~twos
+        if not covs[i] & once:
             kept.remove(i)
-            for e in elements[i]:
-                count[e] -= 1
+            once = None
     return sorted(kept)
 
 
@@ -654,7 +655,7 @@ def _complete(problem: CoverProblem, weights, picked):
     for j in picked:
         covered |= problem.sets[j]
     repair, _ = _greedy_cover(problem.sets, weights, problem.full & ~covered)
-    return _drop_redundant(problem.elements, weights, picked + repair, problem.universe_size)
+    return _drop_redundant(problem.sets, weights, picked + repair)
 
 
 def solve_lp(inst: WmscInstance | PreparedInstance) -> WmscSolution:

@@ -305,6 +305,36 @@ def oracle_cover_holding(universe_size, sets, weights):
     return [float(w + cost[full & ~cov]) for cov, w in zip(sets, weights)]
 
 
+def oracle_drop_redundant(covs, weights, picked, universe_size):
+    """``picked`` less its redundant sets by per-element cover counts: sets
+    are taken heaviest first, higher index first on ties, and one is dropped
+    when every element it covers is covered at least twice by the sets
+    still kept.  Returns the kept indices in ascending order."""
+    elements = [list(bits(cov)) for cov in covs]
+    count = [0] * universe_size
+    for i in picked:
+        for e in elements[i]:
+            count[e] += 1
+    kept = set(picked)
+    for i in sorted(picked, key=lambda i: (-weights[i], -i)):
+        if all(count[e] >= 2 for e in elements[i]):
+            kept.remove(i)
+            for e in elements[i]:
+                count[e] -= 1
+    return sorted(kept)
+
+
+def oracle_erdos_renyi(n, avg_degree, seed):
+    """The edges of G(n, p), p = min(1, avg_degree / (n - 1)), drawn in one
+    call over every pair in ``np.triu_indices`` order, as (u, v) with u < v."""
+    if n == 1:
+        return set()
+    p = min(1.0, avg_degree / (n - 1))
+    iu, ju = np.triu_indices(n, k=1)
+    hit = np.random.default_rng(seed).random(iu.shape[0]) < p
+    return set(zip(iu[hit].tolist(), ju[hit].tolist()))
+
+
 def minimize_gamma_bisection(candidates, universe_size, eps=1e-6):
     """Bisect gamma on the existence of a cover with weight at most one.
 

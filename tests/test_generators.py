@@ -1,10 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import optbranch
 
 from optbranch.errors import InputError
 from optbranch.generators import erdos_renyi, grid_subgraph, kings_subgraph, three_regular
 
-from oracles import degree
+from oracles import degree, edges, oracle_erdos_renyi
 
 
 class TestThreeRegular:
@@ -43,6 +51,38 @@ class TestErdosRenyi:
 
     def test_zero_average_degree_is_edgeless(self):
         assert erdos_renyi(10, 0.0, 0).m == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 300])
+    @pytest.mark.parametrize("avg_degree", [0.0, 3.0, 50.0])
+    def test_matches_one_draw_over_all_pairs(self, n, avg_degree):
+        for seed in (0, 1, 24601):
+            g = erdos_renyi(n, avg_degree, seed)
+            assert g.n == n
+            assert set(edges(g)) == oracle_erdos_renyi(n, avg_degree, seed)
+
+    def test_memory_is_the_graphs(self):
+        # G(4000, p) at average degree 3: the neighbour masks take
+        # 4000 * 4000 / 8 bytes = 2 MB, while one float and two index entries
+        # per pair would take about 190 MB.  The peak is read in a fresh
+        # interpreter, from VmHWM, as ru_maxrss carries the test runner's own
+        # peak across exec
+        script = """if True:
+            import json
+            from optbranch.generators import erdos_renyi
+            def hwm():
+                with open("/proc/self/status") as status:
+                    line = next(line for line in status if line.startswith("VmHWM:"))
+                return int(line.split()[1]) / 1024
+            before = hwm()
+            g = erdos_renyi(4000, 3.0, 1)
+            print(json.dumps({"n": g.n, "m": g.m, "growth_mb": hwm() - before}))
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(optbranch.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        got = json.loads(run.stdout)
+        assert got["n"] == 4000 and 5000 < got["m"] < 7000
+        assert got["growth_mb"] < 20, got["growth_mb"]
 
 
 class TestLatticeSubgraphs:

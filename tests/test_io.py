@@ -39,6 +39,21 @@ class TestEdgeList:
         with pytest.raises(InputError, match="declared"):
             parse_graph(write(tmp_path, "3\n1 4\n"))
 
+    @pytest.mark.parametrize("text, line, top, count", [
+        ("1 5\n3\n", 1, 5, 3),
+        ("3\n1 5\n", 2, 5, 3),
+        ("0\n1 2\n", 2, 2, 0),
+        ("1 2\n2 4\n1 4\n3\n", 2, 4, 3),
+    ], ids=["count-after-edge", "count-before-edge", "count-zero", "first-line-of-top"])
+    def test_declared_count_bounds_every_edge(self, tmp_path, text, line, top, count):
+        with pytest.raises(InputError,
+                           match=f"^line {line}: vertex id {top} above declared count {count}$"):
+            parse_graph(write(tmp_path, text))
+
+    def test_largest_count_wins(self, tmp_path):
+        g = parse_graph(write(tmp_path, "2\n1 2\n5\n"))
+        assert g.n == 5 and g.m == 1
+
     def test_zero_id_rejected(self, tmp_path):
         with pytest.raises(InputError, match="1-based"):
             parse_graph(write(tmp_path, "0 1\n"))

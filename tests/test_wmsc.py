@@ -16,8 +16,8 @@ from optbranch.setcover import (
 )
 
 from oracles import (
-    is_cover, minimize_gamma_bisection, oracle_cover_holding, oracle_minimize_gamma_from_two,
-    oracle_set_cover, oracle_set_cover_dp,
+    is_cover, minimize_gamma_bisection, oracle_cover_holding, oracle_drop_redundant,
+    oracle_minimize_gamma_from_two, oracle_set_cover, oracle_set_cover_dp,
 )
 from paper_cases import FIG1_CANDIDATES, FIG1_GAMMA
 
@@ -1041,7 +1041,6 @@ class TestCoverProblem:
         assert problem.indices == [1, 2, 4]
         assert problem.sets == (0b11, 0b01, 0b10)
         assert problem.covering == [[0, 1], [0, 2]]
-        assert problem.elements == [[0, 1], [0], [1]]
 
 
 class TestSwapMoves:
@@ -1088,6 +1087,38 @@ class TestSwapMoves:
         weights = (0.5, 0.5, 0.2)
         problem = CoverProblem(3, (0b011, 0b110, 0b100), weights)
         assert setcover._swap_moves(problem, weights, [0, 1, 2]) == [0, 2]
+
+
+@st.composite
+def picked_covers(draw):
+    """Sets over up to 8 elements with weights from three values, so that
+    ties are common, and a cover picked from them in random order: a random
+    subset, then each element's singleton set where it is still uncovered."""
+    universe = draw(st.integers(1, 8))
+    covs = draw(st.lists(st.integers(0, (1 << universe) - 1), max_size=12))
+    covs += [1 << e for e in range(universe)]
+    weights = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]),
+                            min_size=len(covs), max_size=len(covs)))
+    picked = draw(st.lists(st.integers(0, len(covs) - 1), unique=True))
+    covered = 0
+    for i in picked:
+        covered |= covs[i]
+    picked += [len(covs) - universe + e for e in range(universe) if not covered >> e & 1]
+    return universe, covs, weights, picked
+
+
+@given(picked_covers())
+@settings(max_examples=300, deadline=None)
+def test_drop_redundant_matches_element_counts(case):
+    """``_drop_redundant`` keeps what the per-element cover count rule keeps,
+    and what it keeps still covers."""
+    universe, covs, weights, picked = case
+    kept = setcover._drop_redundant(covs, weights, picked)
+    assert kept == oracle_drop_redundant(covs, weights, picked, universe)
+    covered = 0
+    for i in kept:
+        covered |= covs[i]
+    assert covered == (1 << universe) - 1
 
 
 class TestDescentStart:
